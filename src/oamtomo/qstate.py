@@ -9,6 +9,7 @@ isometry between the Hilbert-Schmidt inner product and the Euclidean one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -155,16 +156,19 @@ class HermitianVector:
         object.__setattr__(self, "coords", coords)
 
 
-def hermitian_to_coords(h: np.ndarray) -> np.ndarray:
-    """Low-level isometric vectorization of a Hermitian d x d matrix.
-
-    A stack of shape (..., d, d) maps to coordinates of shape (..., d^2).
-    """
-    h = np.asarray(h, dtype=complex)
-    d = h.shape[-1]
-    if np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())) > HERMITICITY_TOL:
-        raise ValueError("input is not Hermitian within tolerance")
+@functools.cache
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (row, column) indices of the strict upper triangle."""
     iu, ju = np.triu_indices(d, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def _to_coords(h: np.ndarray) -> np.ndarray:
+    """Coordinates of a complex (..., d, d) stack from its upper triangle; no checks."""
+    d = h.shape[-1]
+    iu, ju = _triu(d)
     x = np.empty(h.shape[:-2] + (d * d,))
     x[..., :d] = np.diagonal(h, axis1=-2, axis2=-1).real
     off = h[..., iu, ju]
@@ -173,18 +177,46 @@ def hermitian_to_coords(h: np.ndarray) -> np.ndarray:
     return x
 
 
-def coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_coords`."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d * d,):
-        raise ValueError(f"coords length {x.shape} does not match d^2 = {d * d}")
-    iu, ju = np.triu_indices(d, 1)
+def _to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
+    """Hermitian matrix of a length-d^2 float coordinate vector; no checks."""
+    iu, ju = _triu(d)
     h = np.zeros((d, d), dtype=complex)
     h[np.arange(d), np.arange(d)] = x[:d]
     off = (x[d::2] + 1j * x[d + 1 :: 2]) / _SQRT2
     h[iu, ju] = off
     h[ju, iu] = off.conjugate()
     return h
+
+
+def _clip_eigenvalues(h: np.ndarray, trace_mode: str) -> np.ndarray:
+    """Nearest PSD (or unit-trace PSD) matrix to an exactly Hermitian h; no checks."""
+    w, v = np.linalg.eigh(h)
+    if trace_mode == "none":
+        w = np.clip(w, 0.0, None)
+    elif trace_mode == "unit":
+        w = simplex_projection(w)
+    else:
+        raise ValueError(f"unknown trace mode {trace_mode!r}")
+    return (v * w) @ v.conj().T
+
+
+def hermitian_to_coords(h: np.ndarray) -> np.ndarray:
+    """Low-level isometric vectorization of a Hermitian d x d matrix.
+
+    A stack of shape (..., d, d) maps to coordinates of shape (..., d^2).
+    """
+    h = np.asarray(h, dtype=complex)
+    if np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())) > HERMITICITY_TOL:
+        raise ValueError("input is not Hermitian within tolerance")
+    return _to_coords(h)
+
+
+def coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`hermitian_to_coords`."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d * d,):
+        raise ValueError(f"coords length {x.shape} does not match d^2 = {d * d}")
+    return _to_hermitian(x, d)
 
 
 def vectorize(rho: DensityMatrix) -> HermitianVector:
@@ -258,15 +290,7 @@ def project_psd(h: np.ndarray, trace_mode: str = "none") -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
         raise ValueError("input is not Hermitian within tolerance")
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    if trace_mode == "none":
-        w = np.clip(w, 0.0, None)
-    elif trace_mode == "unit":
-        w = simplex_projection(w)
-    else:
-        raise ValueError(f"unknown trace mode {trace_mode!r}")
-    return (v * w) @ v.conj().T
+    return _clip_eigenvalues(0.5 * (h + h.conj().T), trace_mode)
 
 
 def state_to_json_dict(rho: DensityMatrix) -> dict:

@@ -17,6 +17,7 @@ real matrix A acting on Hermitian-vectorized states.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -108,7 +109,12 @@ class ScanGeometry:
 
 @dataclass(frozen=True)
 class MeasurementMap:
-    """Real matrix A with A @ coords(rho) = stacked pixel probabilities."""
+    """Real matrix A with A @ coords(rho) = stacked pixel probabilities.
+
+    The map factors itself once, on first use of :attr:`svd`, and keeps the
+    factors for as long as it lives; the solvers and
+    :func:`independent_detections` share them.
+    """
 
     basis: ModeBasis
     geometry: ScanGeometry
@@ -124,6 +130,19 @@ class MeasurementMap:
 
     def apply(self, rho: DensityMatrix) -> np.ndarray:
         return self.matrix @ hermitian_to_coords(rho.entries)
+
+    @functools.cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (U, s, Vt) with A = U diag(s) Vt[:len(s)], s descending.
+
+        U is thin (m x min(m, n)) and Vt is square (n x n), so the rows of
+        Vt past the numerical rank span the null space of A.
+        """
+        m, n = self.matrix.shape
+        factors = np.linalg.svd(self.matrix, full_matrices=m < n)
+        for f in factors:
+            f.setflags(write=False)
+        return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -215,12 +234,12 @@ def build_measurement_map(basis: ModeBasis, geometry: ScanGeometry) -> Measureme
 
 
 def independent_detections(mmap: MeasurementMap, tol: float = 1e-8) -> int:
-    """Numerical rank of A: singular values above tol * sigma_max."""
+    """Numerical rank of A: the map's singular values above tol * sigma_max."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"relative threshold must lie in (0, 1), got {tol}")
     if mmap.matrix.size == 0:
         raise ValueError("empty measurement map")
-    s = np.linalg.svd(mmap.matrix, compute_uv=False)
+    s = mmap.svd[1]
     return int(np.sum(s > tol * s[0]))
 
 
@@ -264,19 +283,22 @@ def write_scan_csv(path, scan: IntensityScan) -> None:
 
 def read_scan_csv(path, n_pixels_per_side: int | None = None, extent: float = 3.0) -> IntensityScan:
     """Parse the scan CSV format; raises :class:`ScanFormatError` with the
-    offending line number on malformed input."""
+    offending line number on malformed input: a bad field, a non-finite or
+    negative value, a pixel outside the grid, or a (plane, px, py) seen
+    before."""
     planes: list[float] = []
-    rows: list[tuple[int, int, int, float]] = []
+    fields: list[float] = []  # (plane, py, px, value) per data row, flattened
+    blank: list[int] = []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != SCAN_HEADER:
             raise ScanFormatError(f"line 1: expected header {SCAN_HEADER!r}, got {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split(",")
             if len(parts) != 5:
+                if not line.strip():
+                    blank.append(lineno)
+                    continue
                 raise ScanFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
             try:
                 j = int(parts[0])
@@ -287,26 +309,45 @@ def read_scan_csv(path, n_pixels_per_side: int | None = None, extent: float = 3.
                 raise ScanFormatError(f"line {lineno}: {exc}") from exc
             if j == len(planes):
                 planes.append(zeta)
-            elif j > len(planes) or planes[j] != zeta:
+            elif not 0 <= j < len(planes) or planes[j] != zeta:
                 raise ScanFormatError(f"line {lineno}: inconsistent plane index/position")
-            rows.append((j, py, px, value))
-    if not rows:
+            fields.extend((j, py, px, value))
+    if not fields:
         raise ScanFormatError("scan file contains no data rows")
-    if n_pixels_per_side is None:
-        n_pixels_per_side = max(px for _, _, px, _ in rows) + 1
-    n = n_pixels_per_side
-    if len(rows) != n * n * len(planes):
+
+    def reject(row: int, problem: str):
+        line = np.setdiff1d(np.arange(2, lineno + 1), blank)[row]
+        raise ScanFormatError(f"line {line}: {problem}")
+
+    table = np.array(fields).reshape(-1, 4)
+    j, py, px = table[:, :3].astype(np.int64).T
+    values = table[:, 3]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        reject(bad[0], f"non-finite value {float(values[bad[0]])!r}")
+    bad = np.flatnonzero(values < 0)
+    if bad.size:
+        reject(bad[0], f"negative value {float(values[bad[0]])!r}")
+    n = int(px.max()) + 1 if n_pixels_per_side is None else n_pixels_per_side
+    bad = np.flatnonzero((px < 0) | (px >= n) | (py < 0) | (py >= n))
+    if bad.size:
+        i = bad[0]
+        reject(i, f"pixel index ({px[i]}, {py[i]}) outside {n}x{n} grid")
+    flat = (j * n + py) * n + px
+    seen = np.zeros(flat.size, dtype=bool)
+    seen[np.unique(flat, return_index=True)[1]] = True  # first row of each pixel
+    if not seen.all():
+        i = np.argmin(seen)
+        reject(i, f"repeats pixel ({px[i]}, {py[i]}) of plane {j[i]}")
+    if flat.size != n * n * len(planes):
         raise ScanFormatError(
             f"expected {n * n * len(planes)} data rows for a {n}x{n} grid over "
-            f"{len(planes)} plane(s), got {len(rows)}"
+            f"{len(planes)} plane(s), got {flat.size}"
         )
-    values = np.zeros(n * n * len(planes))
-    for j, py, px, value in rows:
-        if not (0 <= px < n and 0 <= py < n):
-            raise ScanFormatError(f"pixel index ({px}, {py}) outside {n}x{n} grid")
-        values[(j * n + py) * n + px] = value
+    grid = np.empty(flat.size)
+    grid[flat] = values
     geom = ScanGeometry(n, extent, tuple(planes))
-    return IntensityScan(geom, values)
+    return IntensityScan(geom, grid)
 
 
 def save_measurement_map(path, mmap: MeasurementMap) -> None:

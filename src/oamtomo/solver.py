@@ -23,7 +23,6 @@ the normalized singular values. Zero entropy means every run agreed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,10 +30,12 @@ import numpy as np
 
 from .qstate import (
     DensityMatrix,
+    _clip_eigenvalues,
+    _to_coords,
+    _to_hermitian,
     coords_to_hermitian,
     hermitian_to_coords,
     project_psd,
-    simplex_projection,
 )
 from .sensor import IntensityScan, MeasurementMap
 
@@ -119,20 +120,21 @@ def _finalize(mmap: MeasurementMap, raw: np.ndarray) -> tuple[DensityMatrix, dic
     return DensityMatrix(mmap.basis, est), meta
 
 
-def _least_squares_model(A: np.ndarray, p: np.ndarray):
+def _least_squares_model(mmap: MeasurementMap, p: np.ndarray):
     """Thin-SVD form of 0.5 ||A x - p||^2 = 0.5 ||W x - b||^2 + f_res.
 
     W = diag(s) V^T keeps the singular values above SVD_RCOND * s_max,
     b = U^T p, and f_res is the part of the data no x can fit. Evaluating
     the objective and its gradient W^T (W x - b) this way avoids the
     cancellation of the expanded quadratic, so residuals far below
-    sqrt(eps) * ||p|| are still resolved.
+    sqrt(eps) * ||p|| are still resolved. The factors are the map's own.
     """
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    u, s, vt = mmap.svd
     keep = s > SVD_RCOND * s[0]
-    b = u[:, keep].T @ p
-    f_res = 0.5 * float(np.sum((p - u[:, keep] @ b) ** 2))
-    return s[keep, None] * vt[keep], b, f_res
+    uk = u[:, keep]
+    b = uk.T @ p
+    f_res = 0.5 * float(np.sum((p - uk @ b) ** 2))
+    return s[keep, None] * vt[: s.size][keep], b, f_res
 
 
 def _certificate(
@@ -186,7 +188,7 @@ def reconstruct_positive(
     p = scan.values
     d = mmap.basis.dim
     unit = cfg.trace_mode == "unit"
-    W, b, f_res = _least_squares_model(A, p)
+    W, b, f_res = _least_squares_model(mmap, p)
     if W.shape[0] == 0:
         raise ValueError("measurement map is identically zero")
     lips = float(W[0] @ W[0])
@@ -198,7 +200,7 @@ def reconstruct_positive(
         return 0.5 * float(r @ r) + f_res
 
     def proj(x: np.ndarray) -> np.ndarray:
-        return hermitian_to_coords(project_psd(coords_to_hermitian(x, d), cfg.trace_mode))
+        return _to_coords(_clip_eigenvalues(_to_hermitian(x, d), cfg.trace_mode))
 
     x = np.zeros(d * d) if initial is None else hermitian_to_coords(initial.entries)
     x = proj(x)
@@ -255,8 +257,8 @@ def reconstruct_positive(
             1.0, float(np.linalg.norm(x))
         )
 
-    X = coords_to_hermitian(x, d)
-    eig, comp, _ = _certificate(coords_to_hermitian(W.T @ (W @ x - b), d), X, scale, unit)
+    X = _to_hermitian(x, d)
+    eig, comp, _ = _certificate(_to_hermitian(W.T @ (W @ x - b), d), X, scale, unit)
     converged = eig >= -tol and comp <= tol
     refine_steps = rank = 0
     if not converged and it < cfg.max_iterations:
@@ -314,7 +316,7 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
 
     def state(L):
         Xn = L @ L.conj().T
-        xn = hermitian_to_coords(0.5 * (Xn + Xn.conj().T))
+        xn = _to_coords(0.5 * (Xn + Xn.conj().T))
         r = W @ xn - b
         return Xn, xn, r, 0.5 * float(r @ r) + f_res
 
@@ -329,7 +331,7 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
         if unit:
             g = np.concatenate([L.real.ravel(), L.imag.ravel()])
             dX -= 2.0 * g[:, None, None] * X
-        u, s, vt = np.linalg.svd(W @ hermitian_to_coords(dX).T, full_matrices=False)
+        u, s, vt = np.linalg.svd(W @ _to_coords(dX).T, full_matrices=False)
         coef = u.T @ r
         if mu is None:
             mu = LM_DAMPING * s[0] ** 2
@@ -359,7 +361,7 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
     steps = 0
     while True:
         X, _, r, f = cur
-        S = coords_to_hermitian(W.T @ r, d)
+        S = _to_hermitian(W.T @ r, d)
         eig, comp, v = _certificate(S, X, scale, unit)
         if (eig >= -tol and comp <= tol) or steps >= budget:
             break
@@ -371,7 +373,7 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
         if eig < -tol and k < d:
             D = np.outer(v, v.conj()) - (X if unit else 0.0)
             slope = float(np.vdot(D, S).real)
-            rd = W @ hermitian_to_coords(D)
+            rd = W @ _to_coords(D)
             t = min(-slope / float(rd @ rd), 1.0 if unit else math.inf)
             rank_gain = -t * slope - 0.5 * t * t * float(rd @ rd)
         if rank_gain > step_gain:
@@ -479,7 +481,7 @@ def multistart_estimates(
     else:
         _check_compatible(mmap, scan)
         x0, *_ = np.linalg.lstsq(mmap.matrix, scan.values, rcond=1e-10)
-        _, s, vt = np.linalg.svd(mmap.matrix, full_matrices=True)
+        _, s, vt = mmap.svd
         rank = int(np.sum(s > 1e-10 * s[0]))
         null_basis = vt[rank:]
         scale = float(np.linalg.norm(x0)) / 10.0
@@ -517,8 +519,3 @@ def report_to_json_dict(rep: ReconstructionReport) -> dict:
         "uniqueness_entropy": rep.uniqueness_entropy,
         "metadata": rep.metadata,
     }
-
-
-def write_report_json(path, rep: ReconstructionReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_json_dict(rep), fh)

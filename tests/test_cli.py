@@ -244,6 +244,20 @@ def test_cli_validate_good_and_bad_scan(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("defect", ["repeats pixel", "non-finite value", "negative value"])
+def test_cli_reconstruct_rejects_bad_scan_rows_exit_3(tmp_path, capsys, defect):
+    geom = ScanGeometry(5, 3.0, (0.0,))
+    basis = ModeBasis.symmetric_span(1)
+    path = tmp_path / "scan.csv"
+    write_scan_csv(path, simulate_scan(random_state(basis, 1, seed=0), build_measurement_map(basis, geom)))
+    lines = path.read_text().splitlines()
+    value = {"non-finite value": "nan", "negative value": "-0.5"}.get(defect)
+    lines[3] = ",".join(lines[3].split(",")[:4] + [value]) if value else lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["reconstruct", "--set", f'scan_file="{path}"', "--set", "basis.ell_max=1"]) == EXIT_DATA
+    assert f"line 4: {defect}" in capsys.readouterr().err
+
+
 def test_cli_validate_state_file(tmp_path, capsys):
     rho = random_state(ModeBasis.symmetric_span(1), 1, seed=2)
     path = tmp_path / "state.json"

@@ -330,6 +330,49 @@ def test_scan_csv_empty_file(tmp_path):
         read_scan_csv(path)
 
 
+def _small_scan_lines(tmp_path):
+    """Lines of a valid 3x3, two-plane scan file; line k of the file is lines[k - 1]."""
+    basis = ModeBasis.symmetric_span(1)
+    mmap = build_measurement_map(basis, ScanGeometry(3, 3.0, (0.0, 1.0)))
+    path = tmp_path / "scan.csv"
+    write_scan_csv(path, simulate_scan(random_state(basis, 1, seed=4), mmap))
+    return path.read_text().splitlines()
+
+
+def test_scan_csv_rejects_repeated_pixel(tmp_path):
+    lines = _small_scan_lines(tmp_path)
+    # line 12 is plane 1, pixel (1, 0); overwrite pixel (2, 0) on line 13 with a
+    # copy of it, so the row count still matches and the repeat hides a missing
+    # pixel; a blank line before it moves it to line 14
+    assert lines[11].startswith("1,1.0,1,0,") and lines[12].startswith("1,1.0,2,0,")
+    lines[12] = lines[11]
+    lines.insert(3, "")
+    path = tmp_path / "repeat.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScanFormatError, match=r"line 14: repeats pixel \(1, 0\) of plane 1"):
+        read_scan_csv(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_scan_csv_rejects_non_finite_value(tmp_path, token):
+    lines = _small_scan_lines(tmp_path)
+    fields = lines[6].split(",")
+    lines[6] = ",".join(fields[:4] + [token])
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScanFormatError, match="line 7: non-finite value"):
+        read_scan_csv(path)
+
+
+def test_scan_csv_rejects_negative_value(tmp_path):
+    lines = _small_scan_lines(tmp_path)
+    lines[4] = ",".join(lines[4].split(",")[:4] + ["-0.5"])
+    path = tmp_path / "negative.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScanFormatError, match="line 5: negative value -0.5"):
+        read_scan_csv(path)
+
+
 def test_measurement_map_dump_roundtrip(tmp_path):
     basis = ModeBasis.symmetric_span(1)
     mmap = build_measurement_map(basis, ScanGeometry.default(2))

@@ -1,10 +1,19 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oamtomo.experiments import derive_seed
-from oamtomo.qstate import DensityMatrix, ModeBasis, hermitian_to_coords, hs_error, random_state
+from oamtomo.qstate import (
+    DensityMatrix,
+    ModeBasis,
+    hermitian_to_coords,
+    hs_error,
+    random_state,
+)
+from oamtomo.qstate import test_state as make_test_state
 from oamtomo.sensor import (
     IntensityScan,
     ScanGeometry,
@@ -15,6 +24,7 @@ from oamtomo.sensor import (
 from oamtomo.solver import (
     ReconstructionReport,
     SolverConfig,
+    multistart_estimates,
     reconstruct_positive,
     reconstruct_pseudoinverse,
     report_to_json_dict,
@@ -291,6 +301,53 @@ def test_uniqueness_entropy_validation():
         uniqueness_entropy(mmap, scan, SolverConfig(multistart=1))
     with pytest.raises(ValueError):
         uniqueness_entropy(mmap, scan, branch="bayesian")
+
+
+def test_cached_factorization_changes_nothing():
+    """A map's factorization, once cached, gives the solves of a fresh map."""
+    basis = ModeBasis.symmetric_span(4)
+    geom = ScanGeometry.default(2)
+    warm = build_measurement_map(basis, geom)
+    scan = simulate_scan(random_state(basis, 2, seed=31), warm)
+    independent_detections(warm)  # factors the map before any solve
+    assert "svd" in vars(warm)
+    cached = reconstruct_positive(warm, scan)
+    fresh = reconstruct_positive(build_measurement_map(basis, geom), scan)
+    np.testing.assert_array_equal(cached.estimate.entries, fresh.estimate.entries)
+    assert cached.iterations_used == fresh.iterations_used
+    assert cached.objective_history == fresh.objective_history
+    assert cached.metadata == fresh.metadata
+    assert cached.converged == fresh.converged
+
+    # the multistart columns are single solves, each on its own fresh map
+    cfg = SolverConfig(multistart=4, seed=5)
+    columns = multistart_estimates(warm, scan, cfg)
+    d = basis.dim
+    rng = np.random.default_rng(cfg.seed)
+    for i in range(cfg.multistart):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho0 = g @ g.conj().T
+        rho0 /= np.trace(rho0).real
+        init = DensityMatrix(basis, 0.5 * (rho0 + rho0.conj().T))
+        rep = reconstruct_positive(
+            build_measurement_map(basis, geom), scan, replace(cfg, seed=cfg.seed + i), init
+        )
+        np.testing.assert_array_equal(columns[:, i], hermitian_to_coords(rep.estimate.entries))
+
+
+def test_pseudoinverse_multistart_memory_scales_with_map():
+    """The null basis comes from the thin factorization: no m x m U."""
+    basis = ModeBasis.symmetric_span(4)
+    mmap = build_measurement_map(basis, ScanGeometry.default(2, n_pixels_per_side=41))
+    scan = simulate_scan(make_test_state(0.3, 0.4, basis), mmap)
+    tracemalloc.start()
+    try:
+        columns = multistart_estimates(mmap, scan, SolverConfig(multistart=5), "pseudoinverse")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert columns.shape == (basis.dim**2, 5)
+    assert peak < 4 * mmap.matrix.nbytes
 
 
 # ----------------------------------------------------------------- reporting
