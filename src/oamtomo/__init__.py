@@ -3,14 +3,11 @@
 from .optics import BeamGeometry, ModeIndex, TransversePoint, beam_radius, gouy_phase, lg_amplitude
 from .qstate import (
     DensityMatrix,
-    HermitianVector,
     ModeBasis,
     hs_error,
-    matricize,
     project_psd,
     random_state,
     test_state,
-    vectorize,
 )
 from .sensor import (
     IntensityScan,

@@ -22,7 +22,6 @@ import sys
 from .experiments import (
     NonConvergenceError,
     SpecValidationError,
-    load_spec,
     parse_spec,
     run_experiment,
 )

@@ -159,6 +159,10 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
         problems.append(f"kind must be one of {KINDS}, got {kind!r}")
         raise SpecValidationError(problems)
     spec = ExperimentSpec(kind=kind)
+    blocks = ("basis", "geometry", "state", "noise", "solver")
+    not_objects = [n for n in blocks if not isinstance(obj.get(n, {}), dict)]
+    problems += [f"{n} must be an object, got {obj[n]!r}" for n in not_objects]
+    obj = {k: v for k, v in obj.items() if k not in not_objects}
 
     basis = obj.get("basis", {})
     bkind = basis.get("kind", "symmetric")
@@ -204,6 +208,8 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
                 setattr(spec, name, tuple(int(v) for v in obj[name]))
             except (TypeError, ValueError):
                 problems.append(f"{name} must be a list of integers")
+    if not spec.z_values or min(spec.z_values) < 1:
+        problems.append(f"z_values must be plane counts of at least 1, got {list(spec.z_values)}")
     if "ell_max_values" in obj:
         try:
             spec.ell_max_values = tuple(int(v) for v in obj["ell_max_values"])
@@ -226,6 +232,15 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     if state.get("kind", "random") not in ("random", "test", "file"):
         problems.append(f"state.kind must be 'random', 'test', or 'file', got {state.get('kind')!r}")
     spec.state = state
+    # the bases the run builds: only an error sweep walks ell_max_values
+    ell_axis = (spec.ell_max_values if kind == "error_sweep" else None) or (spec.ell_max,)
+    symmetric = spec.basis_kind == "symmetric"
+    d_max = 2 * max(ell_axis) + 1 if symmetric else spec.d
+    # a rank above d is skipped, but a sweep with no rank in [1, d] has no cells
+    if "ranks" in obj and (min(spec.ranks, default=0) < 1 or min(spec.ranks) > d_max):
+        problems.append(f"ranks must be at least 1, and one at most d = {d_max}; got {list(spec.ranks)}")
+    if state.get("kind") == "test" and not (symmetric and min(ell_axis) >= 3):
+        problems.append("state.kind 'test' needs the modes -3, 0 and 3 (symmetric basis, ell_max >= 3)")
 
     noise = obj.get("noise", spec.noise)
     nkind = noise.get("kind", "none")
@@ -261,15 +276,6 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     if problems:
         raise SpecValidationError(problems)
     return spec
-
-
-def load_spec(path: str, kind: str | None = None) -> ExperimentSpec:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SpecValidationError([f"spec file is not valid JSON: {exc}"]) from exc
-    return parse_spec(obj, kind)
 
 
 def _make_state(spec: ExperimentSpec, basis: ModeBasis, rank: int, seed: int) -> DensityMatrix:
@@ -438,7 +444,7 @@ def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
     pred_geom = ScanGeometry(
         scan.geometry.n_pixels_per_side, scan.geometry.extent, spec.predict_planes
     )
-    pred_map = build_measurement_map(basis, pred_geom)
+    pred_map = mmap if pred_geom == scan.geometry else build_measurement_map(basis, pred_geom)
     pred_scan = simulate_scan(rep.estimate, pred_map)
     pred_path = os.path.join(out_dir, "predicted_scans.csv")
     write_scan_csv(pred_path, pred_scan)

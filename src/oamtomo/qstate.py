@@ -12,26 +12,20 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .optics import BeamGeometry
 
 __all__ = [
     "ModeBasis",
     "DensityMatrix",
-    "HermitianVector",
     "StateValidationError",
     "hermitian_to_coords",
     "coords_to_hermitian",
-    "vectorize",
-    "matricize",
     "random_state",
     "test_state",
     "hs_error",
     "project_psd",
-    "simplex_projection",
     "write_state_json",
     "read_state_json",
 ]
@@ -49,10 +43,9 @@ class StateValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Ordered set of distinct azimuthal indices (p = 0) with beam geometry."""
+    """Ordered set of distinct azimuthal indices (p = 0)."""
 
     ells: tuple[int, ...]
-    geometry: BeamGeometry = field(default_factory=BeamGeometry)
 
     def __post_init__(self):
         ells = tuple(int(l) for l in self.ells)
@@ -65,18 +58,18 @@ class ModeBasis:
         object.__setattr__(self, "ells", ells)
 
     @classmethod
-    def symmetric_span(cls, ell_max: int, geometry: BeamGeometry | None = None) -> "ModeBasis":
+    def symmetric_span(cls, ell_max: int) -> "ModeBasis":
         """{-ell_max, ..., 0, ..., ell_max}; dimension 2*ell_max + 1."""
         if ell_max < 0:
             raise ValueError(f"ell_max must be nonnegative, got {ell_max}")
-        return cls(tuple(range(-ell_max, ell_max + 1)), geometry or BeamGeometry())
+        return cls(tuple(range(-ell_max, ell_max + 1)))
 
     @classmethod
-    def nonnegative_span(cls, d: int, geometry: BeamGeometry | None = None) -> "ModeBasis":
+    def nonnegative_span(cls, d: int) -> "ModeBasis":
         """{0, ..., d-1}."""
         if d < 1:
             raise ValueError(f"dimension must be positive, got {d}")
-        return cls(tuple(range(d)), geometry or BeamGeometry())
+        return cls(tuple(range(d)))
 
     @property
     def dim(self) -> int:
@@ -139,23 +132,6 @@ class DensityMatrix:
         return float(np.trace(self.entries @ self.entries).real)
 
 
-@dataclass(frozen=True)
-class HermitianVector:
-    """Real coordinates of a Hermitian matrix in the canonical basis."""
-
-    basis: ModeBasis
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.basis.dim**2,):
-            raise ValueError(
-                f"coords length {coords.shape} does not match d^2 = {self.basis.dim ** 2}"
-            )
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-
 @functools.cache
 def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (row, column) indices of the strict upper triangle."""
@@ -188,16 +164,10 @@ def _to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
     return h
 
 
-def _clip_eigenvalues(h: np.ndarray, trace_mode: str) -> np.ndarray:
-    """Nearest PSD (or unit-trace PSD) matrix to an exactly Hermitian h; no checks."""
+def _clip_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to an exactly Hermitian h; no checks."""
     w, v = np.linalg.eigh(h)
-    if trace_mode == "none":
-        w = np.clip(w, 0.0, None)
-    elif trace_mode == "unit":
-        w = simplex_projection(w)
-    else:
-        raise ValueError(f"unknown trace mode {trace_mode!r}")
-    return (v * w) @ v.conj().T
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
 def hermitian_to_coords(h: np.ndarray) -> np.ndarray:
@@ -217,14 +187,6 @@ def coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
     if x.shape != (d * d,):
         raise ValueError(f"coords length {x.shape} does not match d^2 = {d * d}")
     return _to_hermitian(x, d)
-
-
-def vectorize(rho: DensityMatrix) -> HermitianVector:
-    return HermitianVector(rho.basis, hermitian_to_coords(rho.entries))
-
-
-def matricize(v: HermitianVector, validate: bool = True) -> DensityMatrix:
-    return DensityMatrix(v.basis, coords_to_hermitian(v.coords, v.basis.dim), validate=validate)
 
 
 def random_state(basis: ModeBasis, rank: int, seed: int) -> DensityMatrix:
@@ -270,27 +232,12 @@ def hs_error(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(np.trace(diff @ diff).real)
 
 
-def simplex_projection(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    k = np.max(np.nonzero(u - css / idx > 0)[0]) + 1
-    tau = css[k - 1] / k
-    return np.maximum(v - tau, 0.0)
-
-
-def project_psd(h: np.ndarray, trace_mode: str = "none") -> np.ndarray:
-    """Nearest (Hilbert-Schmidt) PSD matrix; optionally with unit trace.
-
-    ``trace_mode="unit"`` projects the eigenvalues onto the probability
-    simplex instead of clipping, yielding the nearest density matrix.
-    """
+def project_psd(h: np.ndarray) -> np.ndarray:
+    """Nearest (Hilbert-Schmidt) PSD matrix: the eigenvalues clipped at zero."""
     h = np.asarray(h, dtype=complex)
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
         raise ValueError("input is not Hermitian within tolerance")
-    return _clip_eigenvalues(0.5 * (h + h.conj().T), trace_mode)
+    return _clip_eigenvalues(0.5 * (h + h.conj().T))
 
 
 def state_to_json_dict(rho: DensityMatrix) -> dict:
@@ -301,14 +248,13 @@ def state_to_json_dict(rho: DensityMatrix) -> dict:
     }
 
 
-def state_from_json_dict(obj: dict, geometry: BeamGeometry | None = None) -> DensityMatrix:
+def state_from_json_dict(obj: dict) -> DensityMatrix:
     try:
         ells = tuple(int(l) for l in obj["ells"])
         entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise StateValidationError(f"malformed density-matrix record: {exc}") from exc
-    basis = ModeBasis(ells, geometry or BeamGeometry())
-    return DensityMatrix(basis, entries)
+    return DensityMatrix(ModeBasis(ells), entries)
 
 
 def write_state_json(path, rho: DensityMatrix) -> None:
@@ -316,7 +262,7 @@ def write_state_json(path, rho: DensityMatrix) -> None:
         json.dump(state_to_json_dict(rho), fh)
 
 
-def read_state_json(path, geometry: BeamGeometry | None = None) -> DensityMatrix:
+def read_state_json(path) -> DensityMatrix:
     with open(path) as fh:
         obj = json.load(fh)
-    return state_from_json_dict(obj, geometry)
+    return state_from_json_dict(obj)

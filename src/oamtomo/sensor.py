@@ -12,7 +12,7 @@ integral of p over the normalized plane is 1; it equals w(z)^2 times the
 position-eigenstate expectation value.
 
 Stacking the pixel functionals over a grid and a list of planes gives the
-real matrix A acting on Hermitian-vectorized states.
+real matrix A acting on the Hermitian coordinates of states.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Two estimators share the least-squares objective || A x - p ||:
 
-* ``reconstruct_positive`` minimizes over the PSD cone: (optionally
-  accelerated) projected gradient with eigenvalue clipping each step,
+* ``reconstruct_positive`` minimizes over the PSD cone: accelerated
+  projected gradient with restarts and eigenvalue clipping each step,
   then a factored Levenberg-Marquardt refinement X = L L^dag that carries
   the iterate onto the minimizer. Its ``converged`` flag is a first-order
   optimality certificate, lambda_min(S) >= -tol and |<S, X>| / Tr X <= tol
@@ -12,12 +12,12 @@ Two estimators share the least-squares objective || A x - p ||:
   nothing about uniqueness; when A has a null space the minimizer set can
   be a whole face of the cone.
 * ``reconstruct_pseudoinverse`` takes the minimum-norm least-squares
-  solution A^+ p with no positivity constraint.
+  solution A^+ p with no positivity constraint, from the map's own SVD.
 
 Both report trace-normalized estimates so errors compare shape, not scale.
 ``uniqueness_entropy`` probes solution uniqueness: run the estimator many
 times (random restarts, or random null-space shifts for the baseline),
-stack the vectorized estimates as columns, and take the Shannon entropy of
+stack the estimates' coordinates as columns, and take the Shannon entropy of
 the normalized singular values. Zero entropy means every run agreed.
 """
 
@@ -54,6 +54,7 @@ STALL_WINDOW = 10  # consecutive stagnant iterations before refinement starts
 HANDOFF_TOL = 1e-8  # relative objective decrease that counts as stagnant
 DEGENERATE_TRACE = 1e-14
 SVD_RCOND = 1e-12  # singular values of A kept in the least-squares model
+PINV_RCOND = 1e-10  # singular values of A kept in the pseudoinverse
 RANK_TOL = 0.05  # eigenvalues above this fraction of the largest set the initial factor width
 LM_DAMPING = 1e-10  # initial damping, relative to the largest squared Jacobian singular value
 LM_TRIALS = 40  # damping increases tried before a refinement step counts as stalled
@@ -67,9 +68,6 @@ TRIAL_STEPS = 5  # damped steps a narrower factor gets to beat the current objec
 class SolverConfig:
     max_iterations: int = 20000
     rel_tolerance: float = 1e-12  # optimality certificate, relative to ||A^T p||
-    step_rule: str = "fixed"  # "fixed" (1/L) or "backtracking"
-    acceleration: bool = True
-    trace_mode: str = "none"  # "none" or "unit"
     multistart: int = 20
     seed: int = 0
 
@@ -78,10 +76,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.rel_tolerance <= 0:
             raise ValueError("rel_tolerance must be positive")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if self.trace_mode not in ("none", "unit"):
-            raise ValueError(f"unknown trace mode {self.trace_mode!r}")
         if self.multistart < 1:
             raise ValueError("multistart must be at least 1")
 
@@ -137,22 +131,27 @@ def _least_squares_model(mmap: MeasurementMap, p: np.ndarray):
     return s[keep, None] * vt[: s.size][keep], b, f_res
 
 
-def _certificate(
-    S: np.ndarray, X: np.ndarray, scale: float, unit: bool
-) -> tuple[float, float, np.ndarray]:
+def _pseudoinverse(mmap: MeasurementMap, p: np.ndarray) -> tuple[np.ndarray, int]:
+    """A^+ p = V diag(1/s) U^T p from the map's own SVD, and the rank of A.
+
+    Singular values at or below PINV_RCOND * s_max count as zero, so the
+    solution has no component in the rows of Vt past the rank.
+    """
+    u, s, vt = mmap.svd
+    rank = int(np.sum(s > PINV_RCOND * s[0]))
+    return vt[:rank].T @ ((u[:, :rank].T @ p) / s[:rank]), rank
+
+
+def _certificate(S: np.ndarray, X: np.ndarray, scale: float) -> tuple[float, float, np.ndarray]:
     """Relative first-order optimality residuals of a PSD iterate X.
 
     S is the gradient of the objective as a Hermitian matrix. X minimizes
-    over the PSD cone iff lambda_min(S) >= 0 and <S, X> = 0; over unit-trace
-    states the multiplier mu = -<S, X> / Tr X shifts S first, which makes
-    the complementarity term vanish. Returns (lambda_min, |<S, X>| / Tr X),
-    both divided by ``scale``, and the eigenvector of lambda_min.
+    over the PSD cone iff lambda_min(S) >= 0 and <S, X> = 0. Returns
+    (lambda_min, |<S, X>| / Tr X), both divided by ``scale``, and the
+    eigenvector of lambda_min.
     """
     tr = float(np.trace(X).real)
     inner = float(np.vdot(X, S).real)
-    if unit and tr > 0:
-        S = S - (inner / tr) * np.eye(S.shape[0])
-        inner = 0.0
     w, v = np.linalg.eigh(S)
     comp = abs(inner) / tr if tr > 0 else 0.0
     return float(w[0]) / scale, comp / scale, v[:, 0]
@@ -166,10 +165,10 @@ def reconstruct_positive(
 ) -> ReconstructionReport:
     """Least-squares minimizer of ||A x - p|| over the PSD cone.
 
-    Stage 1 runs projected gradient (accelerated with restarts unless
-    disabled) until the per-iteration objective decrease stays below
-    HANDOFF_TOL * f0 for STALL_WINDOW consecutive iterations, or the
-    fixed-point residual drops below HANDOFF_TOL relative to the iterate.
+    Stage 1 runs accelerated projected gradient with restarts until the
+    per-iteration objective decrease stays below HANDOFF_TOL * f0 for
+    STALL_WINDOW consecutive iterations, or the fixed-point residual drops
+    below HANDOFF_TOL relative to the iterate.
     Stage 2, run only if the certificate below fails, refines the iterate
     in factored form X = L L^dag (see ``_refine``).
 
@@ -187,7 +186,6 @@ def reconstruct_positive(
     A = mmap.matrix
     p = scan.values
     d = mmap.basis.dim
-    unit = cfg.trace_mode == "unit"
     W, b, f_res = _least_squares_model(mmap, p)
     if W.shape[0] == 0:
         raise ValueError("measurement map is identically zero")
@@ -200,7 +198,7 @@ def reconstruct_positive(
         return 0.5 * float(r @ r) + f_res
 
     def proj(x: np.ndarray) -> np.ndarray:
-        return _to_coords(_clip_eigenvalues(_to_hermitian(x, d), cfg.trace_mode))
+        return _to_coords(_clip_eigenvalues(_to_hermitian(x, d)))
 
     x = np.zeros(d * d) if initial is None else hermitian_to_coords(initial.entries)
     x = proj(x)
@@ -215,21 +213,9 @@ def reconstruct_positive(
     it = 0
     while not stalled and it < cfg.max_iterations:
         it += 1
-        grad = W.T @ (W @ y - b)
-        if cfg.step_rule == "backtracking":
-            s = step * 4.0
-            fy = smooth(y)
-            while True:
-                cand = proj(y - s * grad)
-                delta = cand - y
-                if smooth(cand) <= fy + float(grad @ delta) + 0.5 / s * float(delta @ delta):
-                    break
-                s *= 0.5
-            xn = cand
-        else:
-            xn = proj(y - step * grad)
+        xn = proj(y - step * (W.T @ (W @ y - b)))
         fn = smooth(xn)
-        if cfg.acceleration and fn > f:
+        if fn > f:
             # momentum overshoot: restart from the last good iterate; a
             # vanishing overshoot means the iterate sits at the floor, so it
             # counts toward stagnation instead of resetting it
@@ -246,24 +232,21 @@ def reconstruct_positive(
         fp_residual = float(np.linalg.norm(xn - y))
         x_prev, x, f = x, xn, fn
         history.append(math.sqrt(max(2.0 * fn, 0.0)))
-        if cfg.acceleration:
-            tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / tn) * (x - x_prev)
-            t = tn
-        else:
-            y = x
+        tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = x + ((t - 1.0) / tn) * (x - x_prev)
+        t = tn
         stall = stall + 1 if decrease <= HANDOFF_TOL * f0 else 0
         stalled = stall >= STALL_WINDOW or fp_residual <= HANDOFF_TOL * max(
             1.0, float(np.linalg.norm(x))
         )
 
     X = _to_hermitian(x, d)
-    eig, comp, _ = _certificate(_to_hermitian(W.T @ (W @ x - b), d), X, scale, unit)
+    eig, comp, _ = _certificate(_to_hermitian(W.T @ (W @ x - b), d), X, scale)
     converged = eig >= -tol and comp <= tol
     refine_steps = rank = 0
     if not converged and it < cfg.max_iterations:
         X, refine_steps, rank, eig, comp = _refine(
-            X, W, b, f_res, scale, tol, unit, cfg.max_iterations - it, history
+            X, W, b, f_res, scale, tol, cfg.max_iterations - it, history
         )
         it += refine_steps
         converged = eig >= -tol and comp <= tol
@@ -291,7 +274,7 @@ def reconstruct_positive(
     )
 
 
-def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
+def _refine(X, W, b, f_res, scale, tol, budget, history):
     """Factored Levenberg-Marquardt refinement of a PSD iterate X = L L^dag.
 
     Each step solves the damped linearized least-squares problem for the
@@ -308,9 +291,8 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
     damped steps converge only linearly, so when a step gains less than
     SLOW_GAIN the weakest column is dropped on trial: the trial is kept if
     a few steps from the narrower factor end below the current objective.
-    In unit-trace mode L is kept at unit Frobenius norm and the
-    linearization includes the normalization. Returns the final X, the
-    number of steps taken, the width of L, and the two certificate values.
+    Returns the final X, the number of steps taken, the width of L, and the
+    two certificate values.
     """
     d = X.shape[0]
 
@@ -322,15 +304,12 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
 
     def damped_step(L, cur, mu):
         """One accepted damped step from L, or None if none decreases f."""
-        X, _, r, f = cur
+        _, _, r, f = cur
         k = L.shape[1]
         dirs = np.eye(d * k).reshape(d * k, d, k)
         dirs = np.concatenate([dirs, 1j * dirs])
         T = dirs @ L.conj().T
         dX = T + np.swapaxes(T, -1, -2).conj()
-        if unit:
-            g = np.concatenate([L.real.ravel(), L.imag.ravel()])
-            dX -= 2.0 * g[:, None, None] * X
         u, s, vt = np.linalg.svd(W @ _to_coords(dX).T, full_matrices=False)
         coef = u.T @ r
         if mu is None:
@@ -341,8 +320,6 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
             predicted = 0.5 * float(np.sum(coef**2 * (1.0 - shrink**2)))
             delta = -vt.T @ (s * coef / (s * s + mu))
             cand = L + (delta[: d * k] + 1j * delta[d * k :]).reshape(d, k)
-            if unit:
-                cand /= np.linalg.norm(cand)
             new = state(cand)
             if predicted > 0 and new[3] < f:
                 gain = (f - new[3]) / predicted
@@ -353,8 +330,6 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
     w, V = np.linalg.eigh(X)
     k = max(1, int(np.sum(w > RANK_TOL * w[-1])))
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
-    if unit:
-        L /= np.linalg.norm(L) or 1.0
     cur = state(L)
     mu = None
     failed_widths: set[int] = set()
@@ -362,7 +337,7 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
     while True:
         X, _, r, f = cur
         S = _to_hermitian(W.T @ r, d)
-        eig, comp, v = _certificate(S, X, scale, unit)
+        eig, comp, v = _certificate(S, X, scale)
         if (eig >= -tol and comp <= tol) or steps >= budget:
             break
         steps += 1
@@ -371,13 +346,13 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
         step_gain = f - step[1][3] if step else 0.0
         rank_gain = 0.0
         if eig < -tol and k < d:
-            D = np.outer(v, v.conj()) - (X if unit else 0.0)
+            D = np.outer(v, v.conj())
             slope = float(np.vdot(D, S).real)
             rd = W @ _to_coords(D)
-            t = min(-slope / float(rd @ rd), 1.0 if unit else math.inf)
+            t = -slope / float(rd @ rd)
             rank_gain = -t * slope - 0.5 * t * t * float(rd @ rd)
         if rank_gain > step_gain:
-            L = np.column_stack([L * math.sqrt(1.0 - t) if unit else L, math.sqrt(t) * v])
+            L = np.column_stack([L, math.sqrt(t) * v])
             cur, mu = state(L), None
         elif step is None:
             break
@@ -386,8 +361,6 @@ def _refine(X, W, b, f_res, scale, tol, unit, budget, history):
             if k > 1 and k not in failed_widths and cur[3] - f_res > SLOW_GAIN * (f - f_res):
                 u, sv, _ = np.linalg.svd(L, full_matrices=False)
                 trial = u[:, : k - 1] * sv[: k - 1]
-                if unit:
-                    trial /= np.linalg.norm(trial)
                 trial_state, trial_mu = state(trial), None
                 for _ in range(min(TRIAL_STEPS, budget - steps)):
                     steps += 1
@@ -418,7 +391,7 @@ def reconstruct_pseudoinverse(
     A = mmap.matrix
     p = scan.values
     d = mmap.basis.dim
-    x, *_ = np.linalg.lstsq(A, p, rcond=1e-10)
+    x, _ = _pseudoinverse(mmap, p)
     raw = coords_to_hermitian(x, d)
     residual = float(np.linalg.norm(A @ x - p))
     tr = np.trace(raw).real
@@ -480,10 +453,8 @@ def multistart_estimates(
             columns[:, i] = hermitian_to_coords(rep.estimate.entries)
     else:
         _check_compatible(mmap, scan)
-        x0, *_ = np.linalg.lstsq(mmap.matrix, scan.values, rcond=1e-10)
-        _, s, vt = mmap.svd
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        null_basis = vt[rank:]
+        x0, rank = _pseudoinverse(mmap, scan.values)
+        null_basis = mmap.svd[2][rank:]
         scale = float(np.linalg.norm(x0)) / 10.0
         for i in range(cfg.multistart):
             shift = (

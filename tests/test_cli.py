@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oamtomo.experiments as experiments
 from oamtomo.cli import EXIT_DATA, EXIT_NONCONVERGED, EXIT_OK, EXIT_SPEC, main
 from oamtomo.experiments import (
     NonConvergenceError,
@@ -15,7 +16,14 @@ from oamtomo.experiments import (
     run_simulate,
     write_sweep_csv,
 )
-from oamtomo.qstate import ModeBasis, hs_error, random_state, read_state_json, write_state_json
+from oamtomo.qstate import (
+    ModeBasis,
+    hs_error,
+    random_state,
+    read_state_json,
+    state_from_json_dict,
+    write_state_json,
+)
 from oamtomo.sensor import (
     ScanGeometry,
     build_measurement_map,
@@ -171,6 +179,38 @@ def test_simulate_then_reconstruct_roundtrip(tmp_path):
     np.testing.assert_allclose(pred.values, fresh.values, atol=1e-5)
 
 
+@pytest.mark.parametrize(
+    "predict_planes, map_builds",
+    [(None, 1), ([0.0, 1.0], 2)],
+    ids=["scan planes", "other planes"],
+)
+def test_reconstruct_predictions_reuse_scan_map(tmp_path, monkeypatch, predict_planes, map_builds):
+    """Predictions at the scan's own planes come from the reconstruction's
+    map, not a second build, and equal those of a freshly built map."""
+    sim = {"kind": "simulate", "basis": {"ell_max": 1}, "output": "scan.csv"}
+    sim["geometry"] = {**SMALL_GEOM, "planes": [0.0, 1 / 3, 1 / 2, 1.0]}
+    scan_path = run_simulate(parse_spec(sim), out_dir=str(tmp_path))
+    rec = {"kind": "reconstruct", "basis": {"ell_max": 1}, "scan_file": scan_path}
+    if predict_planes is not None:
+        rec["predict_planes"] = predict_planes
+    rec = parse_spec(rec)
+
+    builds = []
+    build = experiments.build_measurement_map
+    monkeypatch.setattr(
+        experiments, "build_measurement_map", lambda *args: builds.append(args) or build(*args)
+    )
+    result = run_reconstruct(rec, out_dir=str(tmp_path))
+    assert len(builds) == map_builds
+
+    scan = read_scan_csv(scan_path)
+    geom = ScanGeometry(scan.geometry.n_pixels_per_side, scan.geometry.extent, rec.predict_planes)
+    estimate = state_from_json_dict(result["estimate"])
+    write_scan_csv(tmp_path / "fresh.csv", simulate_scan(estimate, build(rec.basis(), geom)))
+    predicted = tmp_path / "predicted_scans.csv"
+    assert predicted.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
 def test_strict_mode_raises_on_nonconvergence(tmp_path):
     sim = parse_spec(
         {
@@ -227,6 +267,37 @@ def test_cli_unparsable_spec_exits_2(tmp_path, capsys):
 def test_cli_bad_set_exits_2(capsys):
     assert main(["simulate", "--set", "no_equals_sign"]) == EXIT_SPEC
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("simulate", ["basis=3"], "basis must be an object"),
+        ("simulate", ["geometry=3"], "geometry must be an object"),
+        ("simulate", ["state=3"], "state must be an object"),
+        ("simulate", ["noise=3"], "noise must be an object"),
+        ("error-sweep", ["z_values=[0]"], "z_values"),
+        ("error-sweep", ["ranks=[0]"], "ranks"),
+        ("error-sweep", ["ranks=[99]"], "ranks"),
+        ("entropy-sweep", ["state.kind=test", "basis.ell_max=2"], "state.kind 'test'"),
+    ],
+    ids=[
+        "basis not an object",
+        "geometry not an object",
+        "state not an object",
+        "noise not an object",
+        "z below 1",
+        "rank below 1",
+        "rank above d",
+        "test state without its modes",
+    ],
+)
+def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):
+    args = [command, "--out", str(tmp_path)]
+    for assignment in overrides:
+        args += ["--set", assignment]
+    assert main(args) == EXIT_SPEC
+    assert message in capsys.readouterr().err
 
 
 def test_cli_validate_good_and_bad_scan(tmp_path, capsys):

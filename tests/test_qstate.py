@@ -9,20 +9,16 @@ from hypothesis import strategies as st
 from oamtomo.qstate import test_state as make_test_state
 from oamtomo.qstate import (
     DensityMatrix,
-    HermitianVector,
     ModeBasis,
     StateValidationError,
     coords_to_hermitian,
     hermitian_to_coords,
     hs_error,
-    matricize,
     project_psd,
     random_state,
     read_state_json,
-    simplex_projection,
     state_from_json_dict,
     state_to_json_dict,
-    vectorize,
     write_state_json,
 )
 
@@ -61,15 +57,15 @@ def test_basis_rejects_duplicates_and_unsorted():
 
 def test_vectorize_identity_over_2():
     b = ModeBasis((0, 1))
-    v = vectorize(DensityMatrix(b, np.eye(2) / 2))
-    np.testing.assert_allclose(v.coords, [0.5, 0.5, 0.0, 0.0])
+    x = hermitian_to_coords(DensityMatrix(b, np.eye(2) / 2).entries)
+    np.testing.assert_allclose(x, [0.5, 0.5, 0.0, 0.0])
 
 
 def test_vectorize_ground_projector():
     b = ModeBasis((0, 1))
     rho = np.diag([1.0, 0.0]).astype(complex)
-    v = vectorize(DensityMatrix(b, rho))
-    np.testing.assert_allclose(v.coords, [1.0, 0.0, 0.0, 0.0])
+    x = hermitian_to_coords(DensityMatrix(b, rho).entries)
+    np.testing.assert_allclose(x, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_vectorize_rejects_non_hermitian():
@@ -93,13 +89,6 @@ def test_unit_norm_maps_to_unit_coords():
     x = random_hermitian(5, 3)
     x /= math.sqrt(np.trace(x @ x).real)
     assert np.linalg.norm(hermitian_to_coords(x)) == pytest.approx(1.0)
-
-
-def test_matricize_wrapper():
-    b = ModeBasis.symmetric_span(1)
-    rho = random_state(b, 2, seed=0)
-    back = matricize(vectorize(rho))
-    np.testing.assert_allclose(back.entries, rho.entries, atol=1e-14)
 
 
 # -------------------------------------------------------------- random_state
@@ -226,12 +215,6 @@ def test_project_psd_idempotent_on_psd():
     np.testing.assert_allclose(project_psd(rho), rho, atol=1e-12)
 
 
-def test_project_psd_unit_trace_mode():
-    out = project_psd(np.diag([0.8, 0.8, -0.2]).astype(complex), trace_mode="unit")
-    np.testing.assert_allclose(np.sort(np.diag(out).real), [0.0, 0.5, 0.5], atol=1e-12)
-    assert np.trace(out).real == pytest.approx(1.0)
-
-
 def test_project_psd_minimality():
     """Projection is at least as close as random PSD candidates."""
     rng = np.random.default_rng(42)
@@ -244,15 +227,6 @@ def test_project_psd_minimality():
             q = random_state(b, int(rng.integers(1, 6)), seed=1000 * seed + k).entries
             q = q * rng.uniform(0.1, 5.0)
             assert best <= np.linalg.norm(h - q) + 1e-12
-
-
-def test_simplex_projection_sums_to_one():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        v = rng.normal(size=6)
-        out = simplex_projection(v)
-        assert out.sum() == pytest.approx(1.0)
-        assert np.all(out >= 0)
 
 
 # -------------------------------------------------------- validation and I/O
