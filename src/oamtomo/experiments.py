@@ -146,6 +146,20 @@ _SPEC_KEYS = {
 }
 
 
+def _plane_list(name: str, value, problems: list[str]) -> tuple[float, ...] | None:
+    """A non-empty list of distinct, finite plane positions; None, with the
+    problem noted, otherwise."""
+    try:
+        planes = tuple(float(z) for z in value)
+    except (TypeError, ValueError):
+        problems.append(f"{name} must be a list of numbers, got {value!r}")
+        return None
+    if not planes or len(set(planes)) != len(planes) or not all(map(math.isfinite, planes)):
+        problems.append(f"{name} must be a non-empty list of distinct finite positions, got {list(planes)}")
+        return None
+    return planes
+
+
 def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     """Validate a JSON spec dict, collecting all diagnostics before raising."""
     problems: list[str] = []
@@ -184,15 +198,17 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     try:
         spec.n_pixels_per_side = int(geom.get("n_pixels_per_side", spec.n_pixels_per_side))
         spec.extent = float(geom.get("extent", spec.extent))
-        if "planes" in geom:
-            spec.planes = tuple(float(z) for z in geom["planes"])
         spec.n_planes = int(geom.get("n_planes", spec.n_planes))
         if spec.n_pixels_per_side < 1:
             problems.append("geometry.n_pixels_per_side must be positive")
         if spec.extent <= 0:
             problems.append("geometry.extent must be positive")
+        if spec.n_planes < 1:
+            problems.append("geometry.n_planes must be positive")
     except (TypeError, ValueError):
         problems.append("geometry fields must be numeric")
+    if "planes" in geom:
+        spec.planes = _plane_list("geometry.planes", geom["planes"], problems)
 
     for name in ("z_max", "trials", "n_states", "seed"):
         if name in obj:
@@ -213,20 +229,20 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     if "ell_max_values" in obj:
         try:
             spec.ell_max_values = tuple(int(v) for v in obj["ell_max_values"])
+            if min(spec.ell_max_values, default=0) < 0:
+                problems.append(f"ell_max_values must be nonnegative, got {list(spec.ell_max_values)}")
         except (TypeError, ValueError):
             problems.append("ell_max_values must be a list of integers")
     if "predict_planes" in obj:
-        try:
-            spec.predict_planes = tuple(float(z) for z in obj["predict_planes"])
-        except (TypeError, ValueError):
-            problems.append("predict_planes must be a list of numbers")
+        spec.predict_planes = _plane_list("predict_planes", obj["predict_planes"], problems)
     if "branches" in obj:
-        branches = tuple(obj["branches"])
-        bad = [b for b in branches if b not in ("positive", "pseudoinverse")]
-        if bad:
+        branches = obj["branches"]
+        if not isinstance(branches, (list, tuple)) or not branches:
+            problems.append(f"branches must be a non-empty list of estimator branches, got {branches!r}")
+        elif bad := [b for b in branches if b not in ("positive", "pseudoinverse")]:
             problems.append(f"unknown estimator branch(es): {bad}")
         else:
-            spec.branches = branches
+            spec.branches = tuple(branches)
 
     state = obj.get("state", spec.state)
     if state.get("kind", "random") not in ("random", "test", "file"):
@@ -239,6 +255,10 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     # a rank above d is skipped, but a sweep with no rank in [1, d] has no cells
     if "ranks" in obj and (min(spec.ranks, default=0) < 1 or min(spec.ranks) > d_max):
         problems.append(f"ranks must be at least 1, and one at most d = {d_max}; got {list(spec.ranks)}")
+    if "rank" in obj.get("state", {}):
+        rank = state["rank"]
+        if isinstance(rank, bool) or not isinstance(rank, int) or not 1 <= rank <= d_max:
+            problems.append(f"state.rank must be an integer from 1 to d = {d_max}, got {rank!r}")
     if state.get("kind") == "test" and not (symmetric and min(ell_axis) >= 3):
         problems.append("state.kind 'test' needs the modes -3, 0 and 3 (symmetric basis, ell_max >= 3)")
 
@@ -246,8 +266,10 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     nkind = noise.get("kind", "none")
     if nkind not in ("none", "poisson"):
         problems.append(f"noise.kind must be 'none' or 'poisson', got {nkind!r}")
-    elif nkind == "poisson" and not noise.get("photon_budget", 0) > 0:
-        problems.append("noise.photon_budget must be positive for poisson noise")
+    elif nkind == "poisson":
+        budget = noise.get("photon_budget")
+        if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not 0 < budget < math.inf:
+            problems.append(f"noise.photon_budget must be a positive number for poisson noise, got {budget!r}")
     spec.noise = noise
 
     try:

@@ -12,15 +12,20 @@ integral of p over the normalized plane is 1; it equals w(z)^2 times the
 position-eigenstate expectation value.
 
 Stacking the pixel functionals over a grid and a list of planes gives the
-real matrix A acting on the Hermitian coordinates of states.
+real matrix A acting on the Hermitian coordinates of states. The planes
+differ only through the Gouy phases, which enter a pair of modes a, b as
+e^{i (|l_a| - |l_b|) arctan(zeta)}: each plane's block is the Gouy-free
+block at the waist with every (Re, Im) coordinate pair turned by that
+angle (:func:`_turn`). The map is built, checked and factored through this
+structure.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +44,6 @@ __all__ = [
     "simulate_scan",
     "write_scan_csv",
     "read_scan_csv",
-    "save_measurement_map",
-    "load_measurement_map",
 ]
 
 # First four planes match the experimental positions; the tail extends the
@@ -48,6 +51,9 @@ __all__ = [
 DEFAULT_PLANE_POOL = (0.0, 1 / 3, 1 / 2, 1.0, 3 / 2, 2.0, 5 / 2, 3.0, 4.0, 5.0)
 
 SCAN_HEADER = "plane_index,zeta,px,py,value"
+# a plane block may differ from the first block turned by the Gouy rotation
+# by this much, relative to the larger of the two probe images
+ROTATION_TOL = 1e-12
 
 
 class ScanFormatError(ValueError):
@@ -78,6 +84,8 @@ class ScanGeometry:
         if self.extent <= 0:
             raise ValueError(f"extent must be positive, got {self.extent}")
         planes = tuple(float(z) for z in self.planes)
+        if not planes:
+            raise ValueError("need at least one plane")
         if len(set(planes)) != len(planes):
             raise ValueError(f"plane positions must be distinct, got {planes}")
         object.__setattr__(self, "planes", planes)
@@ -107,11 +115,29 @@ class ScanGeometry:
         return xx.ravel(), yy.ravel()
 
 
+class MapFactors(NamedTuple):
+    """Thin SVD of a measurement map whose m-row left factor stays implicit.
+
+    A = blockdiag(q, ..., q) @ u @ diag(s) @ vt[:len(s)]: q has orthonormal
+    columns spanning the first plane's block, u holds the left singular
+    vectors of the small stacked matrix, s is descending, and vt is square
+    (d^2 x d^2), so its rows past the numerical rank span the null space of A.
+    """
+
+    q: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+
 @dataclass(frozen=True)
 class MeasurementMap:
     """Real matrix A with A @ coords(rho) = stacked pixel probabilities.
 
-    The map factors itself once, on first use of :attr:`svd`, and keeps the
+    Plane j's block A_j must be the first block A_0 turned by the Gouy
+    rotation R(zeta_0)^T R(zeta_j); the constructor checks this with one
+    fixed random probe per plane and raises ``ValueError`` otherwise. The
+    map factors itself once, on first use of :attr:`svd`, and keeps the
     factors for as long as it lives; the solvers and
     :func:`independent_detections` share them.
     """
@@ -127,22 +153,62 @@ class MeasurementMap:
             raise ValueError(f"matrix shape {matrix.shape} does not match geometry {expect}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        blocks = self._blocks()
+        probe = np.random.default_rng(0).standard_normal(expect[1])
+        for j, angle in enumerate(self._angles()[1:], start=1):
+            seen = blocks[j] @ probe
+            turned = blocks[0] @ _turn(probe, self.basis, -angle)
+            miss = float(np.linalg.norm(seen - turned))
+            if miss > ROTATION_TOL * max(np.linalg.norm(seen), np.linalg.norm(turned)):
+                raise ValueError(
+                    f"block of plane {j} is not the first block turned by its Gouy rotation"
+                )
+
+    def _blocks(self) -> np.ndarray:
+        """A as a (planes, pixels, d^2) view."""
+        return self.matrix.reshape(self.geometry.n_planes, self.geometry.n_pixels, -1)
+
+    def _angles(self) -> list[float]:
+        """Gouy angle of each plane relative to the first."""
+        first = math.atan(self.geometry.planes[0])
+        return [math.atan(zeta) - first for zeta in self.geometry.planes]
 
     def apply(self, rho: DensityMatrix) -> np.ndarray:
         return self.matrix @ hermitian_to_coords(rho.entries)
 
     @functools.cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (U, s, Vt) with A = U diag(s) Vt[:len(s)], s descending.
+    def svd(self) -> MapFactors:
+        """Read-only factors of A without decomposing A itself.
 
-        U is thin (m x min(m, n)) and Vt is square (n x n), so the rows of
-        Vt past the numerical rank span the null space of A.
+        With the thin QR of the first block, A_0 = Q T, every block is
+        A_j = Q T R(zeta_0)^T R(zeta_j), so A = blockdiag(Q, ..., Q) M for the
+        small stack M = [T R(zeta_0)^T R(zeta_j)]_j, and the SVD of M gives
+        u, s and vt.
         """
-        m, n = self.matrix.shape
-        factors = np.linalg.svd(self.matrix, full_matrices=m < n)
+        n = self.matrix.shape[1]
+        q, t = np.linalg.qr(self._blocks()[0])
+        stack = np.vstack([_turn(t, self.basis, angle) for angle in self._angles()])
+        factors = MapFactors(q, *np.linalg.svd(stack, full_matrices=stack.shape[0] < n))
         for f in factors:
             f.setflags(write=False)
-        return tuple(factors)
+        return factors
+
+    def project(self, p: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+        """(U_k^T p, 0.5 ||p - U_k U_k^T p||^2) for the leading ``rank`` left
+        singular vectors U_k of A, computed plane by plane.
+
+        With c_j = Q^T p_j, the unfit part is the sum of ||p_j - Q c_j||^2 over
+        the planes and ||c - u_k U_k^T p||^2: residuals taken directly, so the
+        result has no cancellation however small it is.
+        """
+        q, u, _, _ = self.svd
+        planes = np.reshape(p, (self.geometry.n_planes, -1))
+        c = planes @ q
+        uk = u[:, :rank]
+        b = uk.T @ c.ravel()
+        inside = c.ravel() - uk @ b
+        outside = planes - c @ q.T
+        return b, 0.5 * (float(np.vdot(outside, outside)) + float(inside @ inside))
 
 
 @dataclass(frozen=True)
@@ -158,8 +224,12 @@ class IntensityScan:
         expect = self.geometry.n_pixels * self.geometry.n_planes
         if values.shape != (expect,):
             raise ValueError(f"scan length {values.shape} does not match geometry ({expect},)")
-        if np.any(values < 0):
-            raise ValueError("intensity values must be nonnegative")
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"intensity values must be finite, got {float(bad[0])!r}")
+        bad = values[values < 0]
+        if bad.size:
+            raise ValueError(f"intensity values must be nonnegative, got {float(bad[0])!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -195,51 +265,79 @@ def pixel_probability(rho: DensityMatrix, rr: float, phi: float, zeta: float) ->
     return math.exp(-2.0 * rr * rr) * total.real
 
 
-def _plane_block(basis: ModeBasis, geometry: ScanGeometry, zeta: float) -> np.ndarray:
-    """Rows of A for one plane: n_pixels x d^2, in Hermitian coordinates."""
-    ells = basis.ells
-    d = len(ells)
+def _turn(x: np.ndarray, basis: ModeBasis, angle: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x R(angle) for rows x of Hermitian coordinates.
+
+    R keeps the diagonal coordinates and turns the (Re, Im) pair of modes
+    a < b by (|l_a| - |l_b|) * angle, the Gouy phase difference of the pair
+    at arctan(zeta) = angle. R is orthogonal and R(a) R(b) = R(a + b), so
+    R(angle) v for a column v is _turn(v, basis, -angle). The pairs sit side
+    by side after the d diagonal coordinates, so each row's tail is read as
+    complex numbers and the turn is one multiplication by e^{i shift}.
+    """
+    d = basis.dim
+    ells = np.abs(basis.ells)
+    iu, ju = np.triu_indices(d, 1)
+    x = np.ascontiguousarray(x)
+    if out is None:
+        out = np.empty_like(x)
+    out[..., :d] = x[..., :d]
+    turn = np.exp(1j * (ells[iu] - ells[ju]) * angle)
+    np.multiply(x[..., d:].view(complex), turn, out=out[..., d:].view(complex))
+    return out
+
+
+def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry) -> np.ndarray:
+    """Rows of A at the waist (zeta = 0): n_pixels x d^2, in Hermitian coordinates.
+
+    With the mode amplitudes g_a = N_a rr^{|l_a|} e^{-i l_a phi}, the pixel
+    functional of diagonal coordinate a is env |g_a|^2, and the pair a < b
+    has sqrt(2) env (Re, Im) of conj(g_a) g_b: the coordinates carry
+    sqrt(2) Re(rho_ab) and sqrt(2) Im(rho_ab), and
+    rho_ab g_a conj(g_b) + c.c. = 2 Re(rho_ab) Re(conj(g_a) g_b) + 2 Im(rho_ab) Im(conj(g_a) g_b).
+    """
+    d = basis.dim
+    ells = np.array(basis.ells)
     xx, yy = geometry.pixel_centers()
     rr = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
     env = np.exp(-2.0 * rr * rr) * geometry.pixel_area
-
-    norms = np.array([_norm(l) for l in ells])
-    gouys = np.array([_gouy(l, zeta) for l in ells])
-
+    amp = np.array([_norm(l) for l in ells]) * rr[:, None] ** np.abs(ells)
+    g = amp * np.exp(-1j * phi[:, None] * ells)
+    iu, ju = np.triu_indices(d, 1)
     block = np.empty((rr.size, d * d))
-    # diagonal coordinates
-    for i, l in enumerate(ells):
-        block[:, i] = env * norms[i] ** 2 * rr ** (2 * abs(l))
-    # off-diagonal pairs (real, imag), row-major over i < j
-    col = d
-    sqrt2 = math.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            la, lb = ells[i], ells[j]
-            amp = env * norms[i] * norms[j] * rr ** (abs(la) + abs(lb))
-            phase = (la - lb) * phi + (gouys[i] - gouys[j])
-            # coords carry sqrt(2)*Re(rho_ij), sqrt(2)*Im(rho_ij);
-            # rho_ij conj(C_ij) + c.c. = 2 Re(rho_ij) cos + 2 Im(rho_ij) sin
-            block[:, col] = sqrt2 * amp * np.cos(phase)
-            block[:, col + 1] = sqrt2 * amp * np.sin(phase)
-            col += 2
+    block[:, :d] = env[:, None] * amp**2
+    pairs = block[:, d:].view(complex)  # (Re, Im) side by side
+    np.multiply(g[:, iu].conj(), g[:, ju], out=pairs)
+    pairs *= (math.sqrt(2.0) * env)[:, None]
     return block
 
 
 def build_measurement_map(basis: ModeBasis, geometry: ScanGeometry) -> MeasurementMap:
-    """Assemble A over all planes; rows ordered plane-major, pixels row-major."""
-    blocks = [_plane_block(basis, geometry, zeta) for zeta in geometry.planes]
-    return MeasurementMap(basis, geometry, np.vstack(blocks))
+    """Assemble A over all planes; rows ordered plane-major, pixels row-major.
+    Plane zeta's block is the Gouy-free block turned by arctan(zeta)."""
+    free = _gouy_free_block(basis, geometry)
+    matrix = np.empty((geometry.n_planes * geometry.n_pixels, basis.dim**2))
+    blocks = matrix.reshape(geometry.n_planes, geometry.n_pixels, -1)
+    for block, zeta in zip(blocks, geometry.planes):
+        _turn(free, basis, math.atan(zeta), out=block)
+    return MeasurementMap(basis, geometry, matrix)
 
 
 def independent_detections(mmap: MeasurementMap, tol: float = 1e-8) -> int:
-    """Numerical rank of A: the map's singular values above tol * sigma_max."""
+    """Numerical rank of A: the map's singular values above tol * sigma_max.
+
+    With the first block A_0 = Q T, this is n_Z = rank [T R(zeta_1); ...;
+    T R(zeta_Z)] (rotations relative to the first plane), the matrix whose
+    SVD :attr:`MeasurementMap.svd` takes. Every R fixes the diagonal
+    coordinates and the (l, -l) pairs, where |l_a| = |l_b|, and on that
+    subspace all planes see the same Gouy-free block. So no added plane can
+    see the null directions H_l = |l><l| - |-l><-l| that one plane misses:
+    they lie in the subspace every R fixes.
+    """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"relative threshold must lie in (0, 1), got {tol}")
-    if mmap.matrix.size == 0:
-        raise ValueError("empty measurement map")
-    s = mmap.svd[1]
+    s = mmap.svd.s
     return int(np.sum(s > tol * s[0]))
 
 
@@ -271,14 +369,12 @@ def simulate_scan(
 def write_scan_csv(path, scan: IntensityScan) -> None:
     geom = scan.geometry
     n = geom.n_pixels_per_side
+    pixels = [f"{px},{py}," for py in range(n) for px in range(n)]
+    planes = [f"{j},{zeta!r}," for j, zeta in enumerate(geom.planes)]
+    rows = [plane + pixel for plane in planes for pixel in pixels]
+    values = map(repr, scan.values.tolist())
     with open(path, "w") as fh:
-        fh.write(SCAN_HEADER + "\n")
-        idx = 0
-        for j, zeta in enumerate(geom.planes):
-            for py in range(n):
-                for px in range(n):
-                    fh.write(f"{j},{float(zeta)!r},{px},{py},{float(scan.values[idx])!r}\n")
-                    idx += 1
+        fh.write("\n".join([SCAN_HEADER, *map(str.__add__, rows, values)]) + "\n")
 
 
 def read_scan_csv(path, n_pixels_per_side: int | None = None, extent: float = 3.0) -> IntensityScan:
@@ -348,28 +444,3 @@ def read_scan_csv(path, n_pixels_per_side: int | None = None, extent: float = 3.
     grid[flat] = values
     geom = ScanGeometry(n, extent, tuple(planes))
     return IntensityScan(geom, grid)
-
-
-def save_measurement_map(path, mmap: MeasurementMap) -> None:
-    """JSON header line with shapes and basis, then row-major float64 data."""
-    header = {
-        "ells": list(mmap.basis.ells),
-        "n_pixels_per_side": mmap.geometry.n_pixels_per_side,
-        "extent": mmap.geometry.extent,
-        "planes": list(mmap.geometry.planes),
-        "shape": list(mmap.matrix.shape),
-        "dtype": "<f8",
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode())
-        fh.write(np.ascontiguousarray(mmap.matrix, dtype="<f8").tobytes())
-
-
-def load_measurement_map(path) -> MeasurementMap:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        data = np.frombuffer(fh.read(), dtype=header["dtype"])
-    matrix = data.reshape(header["shape"])
-    basis = ModeBasis(tuple(header["ells"]))
-    geom = ScanGeometry(header["n_pixels_per_side"], header["extent"], tuple(header["planes"]))
-    return MeasurementMap(basis, geom, matrix)

@@ -121,14 +121,14 @@ def _least_squares_model(mmap: MeasurementMap, p: np.ndarray):
     b = U^T p, and f_res is the part of the data no x can fit. Evaluating
     the objective and its gradient W^T (W x - b) this way avoids the
     cancellation of the expanded quadratic, so residuals far below
-    sqrt(eps) * ||p|| are still resolved. The factors are the map's own.
+    sqrt(eps) * ||p|| are still resolved. The factors are the map's own,
+    and b and f_res come from :meth:`MeasurementMap.project`, which never
+    forms the m-row U.
     """
-    u, s, vt = mmap.svd
-    keep = s > SVD_RCOND * s[0]
-    uk = u[:, keep]
-    b = uk.T @ p
-    f_res = 0.5 * float(np.sum((p - uk @ b) ** 2))
-    return s[keep, None] * vt[: s.size][keep], b, f_res
+    _, _, s, vt = mmap.svd
+    rank = int(np.sum(s > SVD_RCOND * s[0]))
+    b, f_res = mmap.project(p, rank)
+    return s[:rank, None] * vt[:rank], b, f_res
 
 
 def _pseudoinverse(mmap: MeasurementMap, p: np.ndarray) -> tuple[np.ndarray, int]:
@@ -137,9 +137,9 @@ def _pseudoinverse(mmap: MeasurementMap, p: np.ndarray) -> tuple[np.ndarray, int
     Singular values at or below PINV_RCOND * s_max count as zero, so the
     solution has no component in the rows of Vt past the rank.
     """
-    u, s, vt = mmap.svd
+    _, _, s, vt = mmap.svd
     rank = int(np.sum(s > PINV_RCOND * s[0]))
-    return vt[:rank].T @ ((u[:, :rank].T @ p) / s[:rank]), rank
+    return vt[:rank].T @ (mmap.project(p, rank)[0] / s[:rank]), rank
 
 
 def _certificate(S: np.ndarray, X: np.ndarray, scale: float) -> tuple[float, float, np.ndarray]:
@@ -454,7 +454,7 @@ def multistart_estimates(
     else:
         _check_compatible(mmap, scan)
         x0, rank = _pseudoinverse(mmap, scan.values)
-        null_basis = mmap.svd[2][rank:]
+        null_basis = mmap.svd.vt[rank:]
         scale = float(np.linalg.norm(x0)) / 10.0
         for i in range(cfg.multistart):
             shift = (

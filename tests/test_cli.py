@@ -280,6 +280,12 @@ def test_cli_bad_set_exits_2(capsys):
         ("error-sweep", ["ranks=[0]"], "ranks"),
         ("error-sweep", ["ranks=[99]"], "ranks"),
         ("entropy-sweep", ["state.kind=test", "basis.ell_max=2"], "state.kind 'test'"),
+        ("simulate", ["noise.kind=poisson", "noise.photon_budget=lots"], "noise.photon_budget"),
+        ("simulate", ["state.rank=99"], "state.rank"),
+        ("error-sweep", ["branches=3"], "branches must be a non-empty list"),
+        ("simulate", ["geometry.planes=[1,1]"], "geometry.planes must be"),
+        ("simulate", ["predict_planes=[0,0]"], "predict_planes must be"),
+        ("error-sweep", ["ell_max_values=[-1]"], "ell_max_values must be nonnegative"),
     ],
     ids=[
         "basis not an object",
@@ -290,6 +296,12 @@ def test_cli_bad_set_exits_2(capsys):
         "rank below 1",
         "rank above d",
         "test state without its modes",
+        "photon budget not a number",
+        "state rank above d",
+        "branches not a list",
+        "repeated plane",
+        "repeated prediction plane",
+        "negative ell_max value",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):

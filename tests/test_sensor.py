@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,19 +12,19 @@ from oamtomo.sensor import (
     DEFAULT_PLANE_POOL,
     IntensityScan,
     MeasurementMap,
+    SCAN_HEADER,
     ScanFormatError,
     ScanGeometry,
     build_measurement_map,
     coefficient,
     default_planes,
     independent_detections,
-    load_measurement_map,
     pixel_probability,
     read_scan_csv,
-    save_measurement_map,
     simulate_scan,
     write_scan_csv,
 )
+from oamtomo.solver import SVD_RCOND, reconstruct_positive
 
 G = BeamGeometry()
 
@@ -43,6 +44,8 @@ def test_scan_geometry_validation():
         ScanGeometry(19, -1.0, (0.0,))
     with pytest.raises(ValueError):
         ScanGeometry(19, 3.0, (0.0, 0.0))
+    with pytest.raises(ValueError):
+        ScanGeometry(19, 3.0, ())
 
 
 def test_pixel_centers_match_formula():
@@ -243,7 +246,116 @@ def test_independent_detections_validates_tol():
         independent_detections(mmap, tol=0.0)
 
 
+# ------------------------------------------------ the map's factorization
+
+
+def _per_pair_block(basis, geometry, zeta):
+    """Reference rows of one plane: each coordinate's pixel functional from
+    its own cos/sin of the full phase, Gouy term included, pair by pair."""
+    ells = basis.ells
+    d = len(ells)
+    xx, yy = geometry.pixel_centers()
+    rr, phi = np.hypot(xx, yy), np.arctan2(yy, xx)
+    env = np.exp(-2.0 * rr * rr) * geometry.pixel_area
+    norms = [math.sqrt(2.0 ** (abs(l) + 1) / (math.pi * math.factorial(abs(l)))) for l in ells]
+    gouy = [(abs(l) + 1) * math.atan(zeta) for l in ells]
+    block = np.empty((rr.size, d * d))
+    for i, l in enumerate(ells):
+        block[:, i] = env * norms[i] ** 2 * rr ** (2 * abs(l))
+    col = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            amp = math.sqrt(2.0) * env * norms[i] * norms[j] * rr ** (abs(ells[i]) + abs(ells[j]))
+            phase = (ells[i] - ells[j]) * phi + gouy[i] - gouy[j]
+            block[:, col] = amp * np.cos(phase)
+            block[:, col + 1] = amp * np.sin(phase)
+            col += 2
+    return block
+
+
+FACTOR_CASES = {
+    "41x41 four planes l_max 4": (4, ScanGeometry.default(4, n_pixels_per_side=41)),
+    "d=15 Z=1": (7, ScanGeometry.default(1)),
+    "d=15 Z=2": (7, ScanGeometry.default(2)),
+    "d=15 Z=3": (7, ScanGeometry.default(3)),
+    "fewer pixels than d^2": (2, ScanGeometry(3, 3.0, (0.0, 1 / 3))),
+    "first plane off the waist": (4, ScanGeometry(19, 3.0, (1 / 3, 2.0))),
+}
+
+
+@pytest.mark.parametrize("ell_max, geom", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
+def test_map_matches_per_pair_reference(ell_max, geom):
+    basis = ModeBasis.symmetric_span(ell_max)
+    matrix = build_measurement_map(basis, geom).matrix
+    reference = np.vstack([_per_pair_block(basis, geom, zeta) for zeta in geom.planes])
+    assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("ell_max, geom", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
+def test_factorization_matches_dense_svd(ell_max, geom):
+    """s, the rank, U_k^T p and the unfit part agree with a dense SVD of A.
+
+    U_k is fixed only up to a rotation within each cluster of equal singular
+    values, so U_k^T p is compared through the basis-free fitted part
+    U_k U_k^T p and its norm."""
+    basis = ModeBasis.symmetric_span(ell_max)
+    mmap = build_measurement_map(basis, geom)
+    A = mmap.matrix
+    u_dense, s_dense, _ = np.linalg.svd(A, full_matrices=False)
+    q, u, s, vt = mmap.svd
+    assert vt.shape == (basis.dim**2, basis.dim**2)
+    assert np.max(np.abs(s - s_dense)) <= 1e-13 * s_dense[0]
+    assert independent_detections(mmap) == int(np.sum(s_dense > 1e-8 * s_dense[0]))
+
+    p = np.random.default_rng(7).uniform(size=A.shape[0])
+    k = int(np.sum(s_dense > SVD_RCOND * s_dense[0]))
+    assert k == int(np.sum(s > SVD_RCOND * s[0]))
+    b, unfit = mmap.project(p, k)
+    b_dense = u_dense[:, :k].T @ p
+    fitted = ((u[:, :k] @ b).reshape(geom.n_planes, -1) @ q.T).ravel()
+    fitted_dense = u_dense[:, :k] @ b_dense
+    assert np.linalg.norm(fitted - fitted_dense) <= 1e-12 * np.linalg.norm(fitted_dense)
+    assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(b_dense), rel=1e-12)
+    unfit_dense = 0.5 * float(np.sum((p - fitted_dense) ** 2))
+    assert abs(unfit - unfit_dense) <= 1e-12 * 0.5 * float(p @ p)
+
+
+def test_map_rejects_blocks_without_gouy_rotation():
+    basis = ModeBasis.symmetric_span(2)
+    geom = ScanGeometry(7, 3.0, (0.0, 1 / 3))
+    matrix = build_measurement_map(basis, geom).matrix
+    with pytest.raises(ValueError, match="block of plane 1"):
+        MeasurementMap(basis, ScanGeometry(7, 3.0, (0.0, 1 / 2)), matrix)
+    noisy = matrix + 1e-6 * np.random.default_rng(0).normal(size=matrix.shape)
+    with pytest.raises(ValueError, match="Gouy rotation"):
+        MeasurementMap(basis, geom, noisy)
+    MeasurementMap(basis, ScanGeometry(7, 3.0, (0.0,)), noisy[: geom.n_pixels])
+
+
+def test_first_solve_forms_no_second_map():
+    """Factoring a camera map and solving on it allocate well under one more
+    m x d^2 array: the m-row left singular factor is never formed."""
+    basis = ModeBasis.symmetric_span(4)
+    mmap = build_measurement_map(basis, ScanGeometry.default(4, n_pixels_per_side=101))
+    scan = simulate_scan(random_state(basis, 2, seed=3), mmap)
+    tracemalloc.start()
+    try:
+        reconstruct_positive(mmap, scan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * mmap.matrix.nbytes
+
+
 # ------------------------------------------------------------------ simulate
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_intensity_scan_rejects_non_finite_values(value):
+    values = np.full(ScanGeometry(2, 3.0, (0.0,)).n_pixels, 0.25)
+    values[2] = value
+    with pytest.raises(ValueError, match=f"finite, got {value!r}"):
+        IntensityScan(ScanGeometry(2, 3.0, (0.0,)), values)
 
 
 def test_simulate_noiseless_matches_map():
@@ -309,6 +421,23 @@ def test_scan_csv_roundtrip(tmp_path):
     assert back.geometry.n_pixels_per_side == 19
 
 
+def test_scan_csv_bytes_match_row_by_row_writer(tmp_path):
+    geom = ScanGeometry(6, 2.5, (0.0, 1 / 3, 2.0))
+    values = np.random.default_rng(9).uniform(size=geom.n_pixels * 3) ** 5
+    values[:4] = (0.0, 1e-300, 5e-324, 123456789.125)
+    scan = IntensityScan(geom, values)
+    path = tmp_path / "scan.csv"
+    write_scan_csv(path, scan)
+    rows = [SCAN_HEADER]
+    idx = 0
+    for j, zeta in enumerate(geom.planes):
+        for py in range(geom.n_pixels_per_side):
+            for px in range(geom.n_pixels_per_side):
+                rows.append(f"{j},{float(zeta)!r},{px},{py},{float(values[idx])!r}")
+                idx += 1
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
 def test_scan_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("plane,zeta\n")
@@ -371,14 +500,3 @@ def test_scan_csv_rejects_negative_value(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ScanFormatError, match="line 5: negative value -0.5"):
         read_scan_csv(path)
-
-
-def test_measurement_map_dump_roundtrip(tmp_path):
-    basis = ModeBasis.symmetric_span(1)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2))
-    path = tmp_path / "map.bin"
-    save_measurement_map(path, mmap)
-    back = load_measurement_map(path)
-    np.testing.assert_array_equal(back.matrix, mmap.matrix)
-    assert back.basis.ells == basis.ells
-    assert back.geometry.planes == mmap.geometry.planes
