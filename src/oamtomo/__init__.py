@@ -1,6 +1,5 @@
 """Compressive tomography of OAM photon states from camera intensity scans."""
 
-from .optics import BeamGeometry, ModeIndex, TransversePoint, beam_radius, gouy_phase, lg_amplitude
 from .qstate import (
     DensityMatrix,
     ModeBasis,
@@ -15,7 +14,6 @@ from .sensor import (
     ScanGeometry,
     build_measurement_map,
     independent_detections,
-    pixel_probability,
     simulate_scan,
 )
 from .solver import (

@@ -20,6 +20,7 @@ import json
 import sys
 
 from .experiments import (
+    KINDS,
     NonConvergenceError,
     SpecValidationError,
     parse_spec,
@@ -33,14 +34,7 @@ EXIT_SPEC = 2
 EXIT_DATA = 3
 EXIT_NONCONVERGED = 4
 
-_SUBCOMMANDS = {
-    "rank-analysis": "rank_analysis",
-    "error-sweep": "error_sweep",
-    "entropy-sweep": "entropy_sweep",
-    "reconstruct": "reconstruct",
-    "simulate": "simulate",
-    "validate": "validate",
-}
+_SUBCOMMANDS = {kind.replace("_", "-"): kind for kind in KINDS}
 
 
 def _apply_override(obj: dict, assignment: str) -> None:

@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ KINDS = (
     "simulate",
     "validate",
 )
+BRANCHES = ("positive", "pseudoinverse")
 
 
 class SpecValidationError(ValueError):
@@ -98,9 +99,14 @@ class ExperimentSpec:
     ell_max_values: tuple[int, ...] | None = None  # dimension sweep axis
     trials: int = 50
     n_states: int = 20
-    branches: tuple[str, ...] = ("positive", "pseudoinverse")
-    state: dict = field(default_factory=lambda: {"kind": "random", "rank": 1})
-    noise: dict = field(default_factory=lambda: {"kind": "none"})
+    branches: tuple[str, ...] = BRANCHES
+    state_kind: str = "random"  # "random" (Ginibre), "test" (probe family) or "file"
+    state_rank: int = 1
+    state_p: float | None = None  # probe-state parameters, drawn per seed unless both are set
+    state_theta: float | None = None
+    state_path: str | None = None
+    noise_kind: str = "none"  # or "poisson"
+    photon_budget: float | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
     output: str | None = None
@@ -123,177 +129,160 @@ class ExperimentSpec:
         return ScanGeometry(self.n_pixels_per_side, self.extent, planes)
 
 
-_SPEC_KEYS = {
-    "kind",
-    "basis",
-    "geometry",
-    "z_max",
-    "z_values",
-    "ranks",
-    "ell_max_values",
-    "trials",
-    "n_states",
-    "branches",
-    "state",
-    "noise",
-    "solver",
-    "seed",
-    "output",
-    "scan_file",
-    "state_file",
-    "predict_planes",
-    "compute_entropy",
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _listed(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item, v))
+
+
+class _Field(NamedTuple):
+    """One spec field: the ExperimentSpec attribute it sets (``solver.x``
+    sets field x of the SolverConfig), a test of its value, what the value
+    must be, for the diagnostic, and the conversion of an accepted value."""
+
+    attr: str
+    ok: Callable[[Any], bool]
+    must: str
+    convert: Callable[[Any], Any] = lambda v: v
+
+
+def _integer(attr: str, low: int, many: bool = False) -> _Field:
+    """An integer of at least ``low`` (0 or 1), or with ``many`` a non-empty list of them."""
+    sign = ("nonnegative", "positive")[low]
+    ok = lambda v: _real(v) and v == int(v) and v >= low  # noqa: E731
+    if many:
+        must = f"{sign} integers in a non-empty list"
+        return _Field(attr, lambda v: _listed(v, ok), must, lambda v: tuple(map(int, v)))
+    return _Field(attr, ok, f"a {sign} integer", int)
+
+
+def _positive(attr: str) -> _Field:
+    return _Field(attr, lambda v: _real(v) and v > 0, "a positive finite number", float)
+
+
+def _choice(attr: str, options: tuple[str, ...]) -> _Field:
+    return _Field(attr, lambda v: v in options, f"one of {options}")
+
+
+def _path(attr: str) -> _Field:
+    return _Field(attr, lambda v: isinstance(v, str) and v != "", "a non-empty string")
+
+
+def _planes(attr: str) -> _Field:
+    ok = lambda v: _listed(v, _real) and len(set(v)) == len(v)  # noqa: E731
+    must = "a non-empty list of distinct finite positions"
+    return _Field(attr, ok, must, lambda v: tuple(map(float, v)))
+
+
+# every accepted spec field, by dotted path
+_FIELDS = {
+    "kind": _choice("kind", KINDS),
+    "basis.kind": _choice("basis_kind", ("symmetric", "nonnegative")),
+    "basis.ell_max": _integer("ell_max", 0),
+    "basis.d": _integer("d", 1),
+    "geometry.n_pixels_per_side": _integer("n_pixels_per_side", 1),
+    "geometry.extent": _positive("extent"),
+    "geometry.n_planes": _integer("n_planes", 1),
+    "geometry.planes": _planes("planes"),
+    "z_max": _integer("z_max", 1),
+    "z_values": _integer("z_values", 1, many=True),
+    "ranks": _integer("ranks", 1, many=True),
+    "ell_max_values": _integer("ell_max_values", 0, many=True),
+    "trials": _integer("trials", 1),
+    "n_states": _integer("n_states", 1),
+    "branches": _Field(
+        "branches",
+        lambda v: _listed(v, lambda b: b in BRANCHES),
+        f"a non-empty list of estimator branches from {BRANCHES}",
+        tuple,
+    ),
+    "state.kind": _choice("state_kind", ("random", "test", "file")),
+    "state.rank": _integer("state_rank", 1),
+    "state.p": _Field("state_p", lambda v: _real(v) and 0 <= v <= 1, "a number from 0 to 1", float),
+    "state.theta": _Field("state_theta", _real, "a finite number", float),
+    "state.path": _path("state_path"),
+    "noise.kind": _choice("noise_kind", ("none", "poisson")),
+    "noise.photon_budget": _positive("photon_budget"),
+    "solver.max_iterations": _integer("solver.max_iterations", 1),
+    "solver.rel_tolerance": _positive("solver.rel_tolerance"),
+    "solver.multistart": _integer("solver.multistart", 1),
+    "solver.seed": _integer("solver.seed", 0),
+    "seed": _integer("seed", 0),
+    "output": _path("output"),
+    "scan_file": _path("scan_file"),
+    "state_file": _path("state_file"),
+    "predict_planes": _planes("predict_planes"),
+    "compute_entropy": _Field("compute_entropy", lambda v: isinstance(v, bool), "true or false"),
 }
+_BLOCKS = {path.split(".")[0] for path in _FIELDS if "." in path}
 
 
-def _plane_list(name: str, value, problems: list[str]) -> tuple[float, ...] | None:
-    """A non-empty list of distinct, finite plane positions; None, with the
-    problem noted, otherwise."""
-    try:
-        planes = tuple(float(z) for z in value)
-    except (TypeError, ValueError):
-        problems.append(f"{name} must be a list of numbers, got {value!r}")
-        return None
-    if not planes or len(set(planes)) != len(planes) or not all(map(math.isfinite, planes)):
-        problems.append(f"{name} must be a non-empty list of distinct finite positions, got {list(planes)}")
-        return None
-    return planes
+def _flatten(obj: dict, problems: list[str], prefix: str = "") -> dict[str, Any]:
+    """{dotted path: value} of a spec object; a key that names no field, or
+    a block that is not an object, is noted in problems and dropped."""
+    flat = {}
+    for key, value in obj.items():
+        path = f"{prefix}{key}"
+        if path in _BLOCKS and isinstance(value, dict):
+            flat.update(_flatten(value, problems, path + "."))
+        elif path in _BLOCKS:
+            problems.append(f"{path} must be an object, got {value!r}")
+        elif path in _FIELDS:
+            flat[path] = value
+        else:
+            problems.append(f"unknown field {path!r}")
+    return flat
 
 
 def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
-    """Validate a JSON spec dict, collecting all diagnostics before raising."""
-    problems: list[str] = []
+    """Validate a JSON spec dict, collecting all diagnostics before raising.
+
+    Each field is checked by its row of the field table; what follows the
+    table are the rules that tie fields together. ``kind``, when given,
+    replaces the spec's own.
+    """
     if not isinstance(obj, dict):
         raise SpecValidationError(["spec must be a JSON object"])
-    for key in obj:
-        if key not in _SPEC_KEYS:
-            problems.append(f"unknown field {key!r}")
-    kind = kind or obj.get("kind")
-    if kind not in KINDS:
-        problems.append(f"kind must be one of {KINDS}, got {kind!r}")
-        raise SpecValidationError(problems)
-    spec = ExperimentSpec(kind=kind)
-    blocks = ("basis", "geometry", "state", "noise", "solver")
-    not_objects = [n for n in blocks if not isinstance(obj.get(n, {}), dict)]
-    problems += [f"{n} must be an object, got {obj[n]!r}" for n in not_objects]
-    obj = {k: v for k, v in obj.items() if k not in not_objects}
-
-    basis = obj.get("basis", {})
-    bkind = basis.get("kind", "symmetric")
-    if bkind not in ("symmetric", "nonnegative"):
-        problems.append(f"basis.kind must be 'symmetric' or 'nonnegative', got {bkind!r}")
-    else:
-        spec.basis_kind = bkind
-    try:
-        spec.ell_max = int(basis.get("ell_max", spec.ell_max))
-        spec.d = int(basis.get("d", spec.d))
-        if spec.ell_max < 0:
-            problems.append("basis.ell_max must be nonnegative")
-        if spec.d < 1:
-            problems.append("basis.d must be positive")
-    except (TypeError, ValueError):
-        problems.append("basis.ell_max and basis.d must be integers")
-
-    geom = obj.get("geometry", {})
-    try:
-        spec.n_pixels_per_side = int(geom.get("n_pixels_per_side", spec.n_pixels_per_side))
-        spec.extent = float(geom.get("extent", spec.extent))
-        spec.n_planes = int(geom.get("n_planes", spec.n_planes))
-        if spec.n_pixels_per_side < 1:
-            problems.append("geometry.n_pixels_per_side must be positive")
-        if spec.extent <= 0:
-            problems.append("geometry.extent must be positive")
-        if spec.n_planes < 1:
-            problems.append("geometry.n_planes must be positive")
-    except (TypeError, ValueError):
-        problems.append("geometry fields must be numeric")
-    if "planes" in geom:
-        spec.planes = _plane_list("geometry.planes", geom["planes"], problems)
-
-    for name in ("z_max", "trials", "n_states", "seed"):
-        if name in obj:
-            try:
-                setattr(spec, name, int(obj[name]))
-                if getattr(spec, name) < (0 if name == "seed" else 1):
-                    problems.append(f"{name} must be positive")
-            except (TypeError, ValueError):
-                problems.append(f"{name} must be an integer")
-    for name in ("z_values", "ranks"):
-        if name in obj:
-            try:
-                setattr(spec, name, tuple(int(v) for v in obj[name]))
-            except (TypeError, ValueError):
-                problems.append(f"{name} must be a list of integers")
-    if not spec.z_values or min(spec.z_values) < 1:
-        problems.append(f"z_values must be plane counts of at least 1, got {list(spec.z_values)}")
-    if "ell_max_values" in obj:
-        try:
-            spec.ell_max_values = tuple(int(v) for v in obj["ell_max_values"])
-            if min(spec.ell_max_values, default=0) < 0:
-                problems.append(f"ell_max_values must be nonnegative, got {list(spec.ell_max_values)}")
-        except (TypeError, ValueError):
-            problems.append("ell_max_values must be a list of integers")
-    if "predict_planes" in obj:
-        spec.predict_planes = _plane_list("predict_planes", obj["predict_planes"], problems)
-    if "branches" in obj:
-        branches = obj["branches"]
-        if not isinstance(branches, (list, tuple)) or not branches:
-            problems.append(f"branches must be a non-empty list of estimator branches, got {branches!r}")
-        elif bad := [b for b in branches if b not in ("positive", "pseudoinverse")]:
-            problems.append(f"unknown estimator branch(es): {bad}")
+    problems: list[str] = []
+    flat = {"kind": None, **_flatten(obj, problems)}
+    if kind is not None:
+        flat["kind"] = kind
+    values = {}
+    for path, value in flat.items():
+        row = _FIELDS[path]
+        if row.ok(value):
+            values[row.attr] = row.convert(value)
         else:
-            spec.branches = tuple(branches)
+            problems.append(f"{path} must be {row.must}, got {value!r}")
+    if "kind" not in values:
+        raise SpecValidationError(problems)
+    solver = {a.removeprefix("solver."): values.pop(a) for a in list(values) if a.startswith("solver.")}
+    spec = ExperimentSpec(**values, solver=SolverConfig(**solver))
 
-    state = obj.get("state", spec.state)
-    if state.get("kind", "random") not in ("random", "test", "file"):
-        problems.append(f"state.kind must be 'random', 'test', or 'file', got {state.get('kind')!r}")
-    spec.state = state
     # the bases the run builds: only an error sweep walks ell_max_values
-    ell_axis = (spec.ell_max_values if kind == "error_sweep" else None) or (spec.ell_max,)
-    symmetric = spec.basis_kind == "symmetric"
-    d_max = 2 * max(ell_axis) + 1 if symmetric else spec.d
+    ell_axis = (spec.ell_max_values if spec.kind == "error_sweep" else None) or (spec.ell_max,)
+    d_max = 2 * max(ell_axis) + 1 if spec.basis_kind == "symmetric" else spec.d
     # a rank above d is skipped, but a sweep with no rank in [1, d] has no cells
-    if "ranks" in obj and (min(spec.ranks, default=0) < 1 or min(spec.ranks) > d_max):
-        problems.append(f"ranks must be at least 1, and one at most d = {d_max}; got {list(spec.ranks)}")
-    if "rank" in obj.get("state", {}):
-        rank = state["rank"]
-        if isinstance(rank, bool) or not isinstance(rank, int) or not 1 <= rank <= d_max:
-            problems.append(f"state.rank must be an integer from 1 to d = {d_max}, got {rank!r}")
-    if state.get("kind") == "test" and not (symmetric and min(ell_axis) >= 3):
+    if min(spec.ranks) > d_max:
+        problems.append(f"ranks must include one at most d = {d_max}, got {list(spec.ranks)}")
+    if spec.state_rank > d_max:
+        problems.append(f"state.rank must be at most d = {d_max}, got {spec.state_rank}")
+    if spec.state_kind == "test" and not (spec.basis_kind == "symmetric" and min(ell_axis) >= 3):
         problems.append("state.kind 'test' needs the modes -3, 0 and 3 (symmetric basis, ell_max >= 3)")
-
-    noise = obj.get("noise", spec.noise)
-    nkind = noise.get("kind", "none")
-    if nkind not in ("none", "poisson"):
-        problems.append(f"noise.kind must be 'none' or 'poisson', got {nkind!r}")
-    elif nkind == "poisson":
-        budget = noise.get("photon_budget")
-        if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not 0 < budget < math.inf:
-            problems.append(f"noise.photon_budget must be a positive number for poisson noise, got {budget!r}")
-    spec.noise = noise
-
-    try:
-        spec.solver = SolverConfig(**obj.get("solver", {}))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"solver: {exc}")
-
-    for name in ("output", "scan_file", "state_file"):
-        if name in obj:
-            setattr(spec, name, str(obj[name]))
-    spec.compute_entropy = bool(obj.get("compute_entropy", False))
-
-    if kind == "reconstruct" and not spec.scan_file:
+    if spec.noise_kind == "poisson" and spec.photon_budget is None:
+        problems.append("noise.photon_budget is required for poisson noise")
+    if spec.kind == "reconstruct" and not spec.scan_file:
         problems.append("reconstruct requires scan_file")
-    if kind == "validate" and not (spec.scan_file or spec.state_file):
+    if spec.kind == "validate" and not (spec.scan_file or spec.state_file):
         problems.append("validate requires scan_file or state_file")
-    for name in ("scan_file", "state_file"):
-        path = getattr(spec, name)
+    if spec.state_kind == "file" and not spec.state_path:
+        problems.append("state.kind 'file' requires state.path")
+    files = {"scan_file": spec.scan_file, "state_file": spec.state_file, "state.path": spec.state_path}
+    for name, path in files.items():
         if path and not os.path.exists(path):
             problems.append(f"{name} does not exist: {path}")
-    if spec.state.get("kind") == "file":
-        path = spec.state.get("path", "")
-        if not os.path.exists(path):
-            problems.append(f"state.path does not exist: {path}")
 
     if problems:
         raise SpecValidationError(problems)
@@ -301,27 +290,22 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
 
 
 def _make_state(spec: ExperimentSpec, basis: ModeBasis, rank: int, seed: int) -> DensityMatrix:
-    kind = spec.state.get("kind", "random")
-    if kind == "random":
+    if spec.state_kind == "random":
         return random_state(basis, rank, seed)
-    if kind == "test":
-        if "p" in spec.state and "theta" in spec.state:
-            return test_state(float(spec.state["p"]), float(spec.state["theta"]), basis)
+    if spec.state_kind == "test":
+        if spec.state_p is not None and spec.state_theta is not None:
+            return test_state(spec.state_p, spec.state_theta, basis)
         rng = np.random.default_rng(seed)
         return test_state(float(rng.uniform()), float(rng.uniform(0.0, math.pi / 2)), basis)
-    return read_state_json(spec.state["path"])
+    return read_state_json(spec.state_path)
 
 
-def _make_scan(spec: ExperimentSpec, rho: DensityMatrix, mmap: MeasurementMap, seed: int):
-    if spec.noise.get("kind", "none") == "poisson":
-        return simulate_scan(
-            rho, mmap, "poisson", float(spec.noise["photon_budget"]), seed=seed
-        )
-    return simulate_scan(rho, mmap)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _map_cells(spec: ExperimentSpec, cell_fn, cells: list) -> list:
+    """cell_fn over the cells, in order; in a process pool when spec.threads > 1."""
+    if spec.threads > 1:
+        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
+            return list(pool.map(cell_fn, cells))
+    return [cell_fn(c) for c in cells]
 
 
 def run_rank_analysis(spec: ExperimentSpec) -> list[tuple[int, int]]:
@@ -350,7 +334,7 @@ def _error_cell(args) -> tuple[tuple[int, int, int], list[float], list[float]]:
     for trial in range(spec.trials):
         seed = derive_seed(spec.seed, ell_max, z, rank, trial)
         rho = _make_state(spec, basis, rank, seed)
-        scan = _make_scan(spec, rho, mmap, seed)
+        scan = simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
         rep_pos = reconstruct_positive(mmap, scan, spec.solver)
         if spec.strict and not rep_pos.converged:
             raise NonConvergenceError(
@@ -371,22 +355,16 @@ def run_error_sweep(spec: ExperimentSpec) -> list[dict]:
         for ell_max in ell_axis
         for z in spec.z_values
         for rank in spec.ranks
-        if rank <= (2 * ell_max + 1 if spec.basis_kind == "symmetric" else spec.d)
+        if rank <= spec.basis(ell_max).dim
     ]
-    if spec.threads > 1:
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            results = list(pool.map(_error_cell, cells))
-    else:
-        results = [_error_cell(c) for c in cells]
     rows = []
-    for (ell_max, z, rank), pos, pinv in results:
+    for (ell_max, z, rank), pos, pinv in _map_cells(spec, _error_cell, cells):
         if any(not math.isfinite(e) for e in pos + pinv):
             raise RuntimeError(f"non-finite error in cell ell_max={ell_max}, Z={z}, rank={rank}")
-        d = 2 * ell_max + 1 if spec.basis_kind == "symmetric" else spec.d
         rows.append(
             {
                 "ell_max": ell_max,
-                "d": d,
+                "d": spec.basis(ell_max).dim,
                 "Z": z,
                 "rank": rank,
                 "trials": spec.trials,
@@ -410,7 +388,7 @@ def entropy_cell_inputs(
     for j in range(spec.n_states):
         seed = derive_seed(spec.seed, z, j)
         rho = _make_state(spec, basis, rank=2, seed=seed)
-        scan = _make_scan(spec, rho, mmap, seed)
+        scan = simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
         inputs.append((scan, replace(spec.solver, seed=derive_seed(spec.seed, z, j, 1))))
     return mmap, inputs
 
@@ -425,13 +403,8 @@ def _entropy_cell(args) -> tuple[tuple[int, str], list[float]]:
 def run_entropy_sweep(spec: ExperimentSpec) -> list[dict]:
     """Mean/variance of the uniqueness entropy per (Z, branch) cell."""
     cells = [(spec, z, branch) for z in spec.z_values for branch in spec.branches]
-    if spec.threads > 1:
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            results = list(pool.map(_entropy_cell, cells))
-    else:
-        results = [_entropy_cell(c) for c in cells]
     rows = []
-    for (z, branch), entropies in results:
+    for (z, branch), entropies in _map_cells(spec, _entropy_cell, cells):
         if any(not math.isfinite(s) for s in entropies):
             raise RuntimeError(f"non-finite entropy in cell Z={z}, branch={branch}")
         rows.append(
@@ -462,16 +435,12 @@ def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
         result["uniqueness_entropy"] = uniqueness_entropy(mmap, scan, spec.solver)
 
     os.makedirs(out_dir, exist_ok=True)
-    predicted_files = []
-    pred_geom = ScanGeometry(
-        scan.geometry.n_pixels_per_side, scan.geometry.extent, spec.predict_planes
-    )
+    pred_geom = replace(scan.geometry, planes=spec.predict_planes)
     pred_map = mmap if pred_geom == scan.geometry else build_measurement_map(basis, pred_geom)
     pred_scan = simulate_scan(rep.estimate, pred_map)
     pred_path = os.path.join(out_dir, "predicted_scans.csv")
     write_scan_csv(pred_path, pred_scan)
-    predicted_files.append(pred_path)
-    result["predicted_scan_files"] = predicted_files
+    result["predicted_scan_files"] = [pred_path]
 
     report_path = os.path.join(out_dir, spec.output or "report.json")
     with open(report_path, "w") as fh:
@@ -485,8 +454,8 @@ def run_simulate(spec: ExperimentSpec, out_dir: str = ".") -> str:
     basis = spec.basis()
     mmap = build_measurement_map(basis, spec.geometry())
     seed = derive_seed(spec.seed, 0)
-    rho = _make_state(spec, basis, rank=int(spec.state.get("rank", 1)), seed=seed)
-    scan = _make_scan(spec, rho, mmap, seed)
+    rho = _make_state(spec, basis, rank=spec.state_rank, seed=seed)
+    scan = simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, spec.output or "scan.csv")
     write_scan_csv(path, scan)
@@ -509,13 +478,6 @@ def run_validate(spec: ExperimentSpec) -> list[str]:
     return problems
 
 
-def write_rank_csv(path: str, rows: list[tuple[int, int]]) -> None:
-    with open(path, "w") as fh:
-        fh.write("Z,n_detections\n")
-        for z, n in rows:
-            fh.write(f"{z},{n}\n")
-
-
 def write_sweep_csv(path: str, rows: list[dict]) -> None:
     if not rows:
         raise ValueError("empty sweep result")
@@ -524,7 +486,7 @@ def write_sweep_csv(path: str, rows: list[dict]) -> None:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(
-                ",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols)
+                ",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c]) for c in cols)
                 + "\n"
             )
 
@@ -532,17 +494,14 @@ def write_sweep_csv(path: str, rows: list[dict]) -> None:
 def run_experiment(spec: ExperimentSpec, out_dir: str = ".") -> Any:
     """Dispatch on spec.kind and write the configured outputs."""
     os.makedirs(out_dir, exist_ok=True)
+    sweep_csv = os.path.join(out_dir, spec.output or f"{spec.kind}.csv")
     if spec.kind == "rank_analysis":
         rows = run_rank_analysis(spec)
-        write_rank_csv(os.path.join(out_dir, spec.output or "rank_analysis.csv"), rows)
+        write_sweep_csv(sweep_csv, [{"Z": z, "n_detections": n} for z, n in rows])
         return rows
-    if spec.kind == "error_sweep":
-        rows = run_error_sweep(spec)
-        write_sweep_csv(os.path.join(out_dir, spec.output or "error_sweep.csv"), rows)
-        return rows
-    if spec.kind == "entropy_sweep":
-        rows = run_entropy_sweep(spec)
-        write_sweep_csv(os.path.join(out_dir, spec.output or "entropy_sweep.csv"), rows)
+    if spec.kind in ("error_sweep", "entropy_sweep"):
+        rows = run_error_sweep(spec) if spec.kind == "error_sweep" else run_entropy_sweep(spec)
+        write_sweep_csv(sweep_csv, rows)
         return rows
     if spec.kind == "reconstruct":
         return run_reconstruct(spec, out_dir)

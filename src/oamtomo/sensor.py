@@ -37,8 +37,6 @@ __all__ = [
     "MeasurementMap",
     "IntensityScan",
     "ScanFormatError",
-    "coefficient",
-    "pixel_probability",
     "build_measurement_map",
     "independent_detections",
     "simulate_scan",
@@ -81,8 +79,8 @@ class ScanGeometry:
     def __post_init__(self):
         if self.n_pixels_per_side < 1:
             raise ValueError(f"need at least one pixel per side, got {self.n_pixels_per_side}")
-        if self.extent <= 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         planes = tuple(float(z) for z in self.planes)
         if not planes:
             raise ValueError("need at least one plane")
@@ -234,35 +232,8 @@ class IntensityScan:
         object.__setattr__(self, "values", values)
 
 
-def _gouy(ell: int, zeta: float) -> float:
-    return (abs(ell) + 1) * math.atan(zeta)
-
-
 def _norm(ell: int) -> float:
     return math.sqrt(2.0 ** (abs(ell) + 1) / (math.pi * math.factorial(abs(ell))))
-
-
-def coefficient(ell: int, ell_p: int, rr: float, phi: float, zeta: float) -> complex:
-    """Interference coefficient rr^{|l|+|l'|} e^{i(l-l')phi} e^{i(psi_l-psi_l')}."""
-    if rr < 0:
-        raise ValueError(f"normalized radius must be nonnegative, got {rr}")
-    phase = (ell - ell_p) * phi + _gouy(ell, zeta) - _gouy(ell_p, zeta)
-    return rr ** (abs(ell) + abs(ell_p)) * complex(math.cos(phase), math.sin(phase))
-
-
-def pixel_probability(rho: DensityMatrix, rr: float, phi: float, zeta: float) -> float:
-    """Normalized intensity at one camera point; real and nonnegative.
-
-    The mode amplitudes carry e^{-i ell phi}, so the expectation value pairs
-    rho_{l l'} with the conjugate coefficient C_{l' l}; this keeps the model
-    identical to w(z)^2 |sum_l c_l LG_l|^2 for pure states.
-    """
-    ells = rho.basis.ells
-    total = 0.0 + 0.0j
-    for a, la in enumerate(ells):
-        for b, lb in enumerate(ells):
-            total += rho.entries[a, b] * _norm(la) * _norm(lb) * coefficient(lb, la, rr, phi, zeta)
-    return math.exp(-2.0 * rr * rr) * total.real
 
 
 def _turn(x: np.ndarray, basis: ModeBasis, angle: float, out: np.ndarray | None = None) -> np.ndarray:

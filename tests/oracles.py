@@ -1,9 +1,10 @@
-"""Laguerre-Gauss mode amplitudes and paraxial beam parameters.
+"""Scalar reference models that the tests check the library against.
 
-All kernels work in cylindrical coordinates (r, phi, z) with the beam
-waist at z = 0. Downstream code mostly consumes normalized quantities
-(r/w(z), z/z_R); the physical fields on :class:`BeamGeometry` exist so
-file I/O can carry real units.
+Laguerre-Gauss mode amplitudes and paraxial beam parameters, in cylindrical
+coordinates (r, phi, z) with the beam waist at z = 0, and the pixel
+probability of a state summed mode pair by mode pair. The library's
+vectorized measurement map is compared against these point by point; no
+library code calls them.
 """
 
 from __future__ import annotations
@@ -13,15 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from oamtomo.qstate import DensityMatrix
+from oamtomo.sensor import _norm
+
 __all__ = [
     "BeamGeometry",
     "ModeIndex",
     "TransversePoint",
     "beam_radius",
+    "coefficient",
     "gouy_phase",
     "inverse_curvature",
     "lg_amplitude",
     "mode_normalization",
+    "pixel_probability",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -131,3 +137,30 @@ def lg_amplitude(m: ModeIndex, g: BeamGeometry, pt: TransversePoint) -> complex:
         * math.exp(-(rho * rho))
         * complex(math.cos(phase), math.sin(phase))
     )
+
+
+def _gouy(ell: int, zeta: float) -> float:
+    return (abs(ell) + 1) * math.atan(zeta)
+
+
+def coefficient(ell: int, ell_p: int, rr: float, phi: float, zeta: float) -> complex:
+    """Interference coefficient rr^{|l|+|l'|} e^{i(l-l')phi} e^{i(psi_l-psi_l')}."""
+    if rr < 0:
+        raise ValueError(f"normalized radius must be nonnegative, got {rr}")
+    phase = (ell - ell_p) * phi + _gouy(ell, zeta) - _gouy(ell_p, zeta)
+    return rr ** (abs(ell) + abs(ell_p)) * complex(math.cos(phase), math.sin(phase))
+
+
+def pixel_probability(rho: DensityMatrix, rr: float, phi: float, zeta: float) -> float:
+    """Normalized intensity at one camera point; real and nonnegative.
+
+    The mode amplitudes carry e^{-i ell phi}, so the expectation value pairs
+    rho_{l l'} with the conjugate coefficient C_{l' l}; this keeps the model
+    identical to w(z)^2 |sum_l c_l LG_l|^2 for pure states.
+    """
+    ells = rho.basis.ells
+    total = 0.0 + 0.0j
+    for a, la in enumerate(ells):
+        for b, lb in enumerate(ells):
+            total += rho.entries[a, b] * _norm(la) * _norm(lb) * coefficient(lb, la, rr, phi, zeta)
+    return math.exp(-2.0 * rr * rr) * total.real

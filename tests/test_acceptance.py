@@ -13,7 +13,6 @@ from oamtomo.experiments import (
     run_entropy_sweep,
     run_error_sweep,
 )
-from oamtomo.optics import BeamGeometry, ModeIndex, TransversePoint, beam_radius, lg_amplitude
 from oamtomo.qstate import (
     DensityMatrix,
     ModeBasis,
@@ -29,7 +28,6 @@ from oamtomo.sensor import (
     ScanGeometry,
     build_measurement_map,
     independent_detections,
-    pixel_probability,
     simulate_scan,
 )
 from oamtomo.solver import (
@@ -38,6 +36,15 @@ from oamtomo.solver import (
     reconstruct_positive,
     reconstruct_pseudoinverse,
     singular_value_entropy,
+)
+from oracles import (
+    BeamGeometry,
+    ModeIndex,
+    TransversePoint,
+    beam_radius,
+    coefficient,
+    lg_amplitude,
+    pixel_probability,
 )
 
 RECOVERY_TOL = 1e-6  # criterion 4's exact-recovery tolerance
@@ -218,7 +225,7 @@ def test_criterion_7_numerical_hygiene():
         p = pixel_probability(rho, rr, phi, zeta)
         # the model keeps the real part; reality means the imaginary part of
         # the Hermitian quadratic form vanishes
-        from oamtomo.sensor import _norm, coefficient
+        from oamtomo.sensor import _norm
 
         acc = 0.0 + 0.0j
         for a, la in enumerate(ells):

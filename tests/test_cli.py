@@ -286,6 +286,16 @@ def test_cli_bad_set_exits_2(capsys):
         ("simulate", ["geometry.planes=[1,1]"], "geometry.planes must be"),
         ("simulate", ["predict_planes=[0,0]"], "predict_planes must be"),
         ("error-sweep", ["ell_max_values=[-1]"], "ell_max_values must be nonnegative"),
+        ("rank-analysis", ["basis.ellmax=1"], "unknown field 'basis.ellmax'"),
+        ("simulate", ["noise.budget=5"], "unknown field 'noise.budget'"),
+        ("simulate", ["state.kind=test", "state.p=x", "state.theta=0.5"], "state.p must be"),
+        ("simulate", ["state.kind=test", "state.p=2", "state.theta=0.5"], "state.p must be"),
+        ("simulate", ["state.kind=test", "state.p=0.5", "state.theta=x"], "state.theta must be"),
+        ("simulate", ["geometry.extent=nan"], "geometry.extent must be"),
+        ("simulate", ["geometry.extent=inf"], "geometry.extent must be"),
+        ("error-sweep", ["trials=1.5"], "trials must be"),
+        ("rank-analysis", ["z_max=true"], "z_max must be"),
+        ("simulate", ["compute_entropy=no"], "compute_entropy must be"),
     ],
     ids=[
         "basis not an object",
@@ -302,6 +312,16 @@ def test_cli_bad_set_exits_2(capsys):
         "repeated plane",
         "repeated prediction plane",
         "negative ell_max value",
+        "misspelt basis field",
+        "misspelt noise field",
+        "test-state weight not a number",
+        "test-state weight above 1",
+        "test-state angle not a number",
+        "extent not a number",
+        "extent infinite",
+        "fractional trials",
+        "z_max a bool",
+        "compute_entropy not a bool",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):

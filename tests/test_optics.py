@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre
 
-from oamtomo.optics import (
+from oracles import (
     BeamGeometry,
     ModeIndex,
     TransversePoint,
@@ -17,7 +17,7 @@ from oamtomo.optics import (
     lg_amplitude,
     mode_normalization,
 )
-from oamtomo.optics import _laguerre
+from oracles import _laguerre
 
 G = BeamGeometry()  # w0 = 1, k = 2 so z_R = 1
 

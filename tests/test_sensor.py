@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oamtomo.optics import BeamGeometry, ModeIndex, TransversePoint, beam_radius, lg_amplitude
 from oamtomo.qstate import DensityMatrix, ModeBasis, hermitian_to_coords, random_state
 from oamtomo.sensor import (
     DEFAULT_PLANE_POOL,
@@ -16,15 +15,22 @@ from oamtomo.sensor import (
     ScanFormatError,
     ScanGeometry,
     build_measurement_map,
-    coefficient,
     default_planes,
     independent_detections,
-    pixel_probability,
     read_scan_csv,
     simulate_scan,
     write_scan_csv,
 )
 from oamtomo.solver import SVD_RCOND, reconstruct_positive
+from oracles import (
+    BeamGeometry,
+    ModeIndex,
+    TransversePoint,
+    beam_radius,
+    coefficient,
+    lg_amplitude,
+    pixel_probability,
+)
 
 G = BeamGeometry()
 
@@ -42,6 +48,10 @@ def test_scan_geometry_validation():
         ScanGeometry(0, 3.0, (0.0,))
     with pytest.raises(ValueError):
         ScanGeometry(19, -1.0, (0.0,))
+    with pytest.raises(ValueError):
+        ScanGeometry(19, math.nan, (0.0,))
+    with pytest.raises(ValueError):
+        ScanGeometry(19, math.inf, (0.0,))
     with pytest.raises(ValueError):
         ScanGeometry(19, 3.0, (0.0, 0.0))
     with pytest.raises(ValueError):
