@@ -102,7 +102,7 @@ class ExperimentSpec:
     branches: tuple[str, ...] = BRANCHES
     state_kind: str = "random"  # "random" (Ginibre), "test" (probe family) or "file"
     state_rank: int = 1
-    state_p: float | None = None  # probe-state parameters, drawn per seed unless both are set
+    state_p: float | None = None  # probe-state parameters: both, or neither to draw them per seed
     state_theta: float | None = None
     state_path: str | None = None
     noise_kind: str = "none"  # or "poisson"
@@ -240,15 +240,13 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     """Validate a JSON spec dict, collecting all diagnostics before raising.
 
     Each field is checked by its row of the field table; what follows the
-    table are the rules that tie fields together. ``kind``, when given,
-    replaces the spec's own.
+    table are the rules that tie fields together. ``kind``, when given, is
+    the kind of the run, and a spec that names another kind is rejected.
     """
     if not isinstance(obj, dict):
         raise SpecValidationError(["spec must be a JSON object"])
     problems: list[str] = []
-    flat = {"kind": None, **_flatten(obj, problems)}
-    if kind is not None:
-        flat["kind"] = kind
+    flat = {"kind": kind, **_flatten(obj, problems)}
     values = {}
     for path, value in flat.items():
         row = _FIELDS[path]
@@ -258,6 +256,8 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
             problems.append(f"{path} must be {row.must}, got {value!r}")
     if "kind" not in values:
         raise SpecValidationError(problems)
+    if kind is not None and values["kind"] != kind:
+        problems.append(f"kind {values['kind']!r} does not match the subcommand's kind {kind!r}")
     solver = {a.removeprefix("solver."): values.pop(a) for a in list(values) if a.startswith("solver.")}
     spec = ExperimentSpec(**values, solver=SolverConfig(**solver))
 
@@ -271,6 +271,9 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
         problems.append(f"state.rank must be at most d = {d_max}, got {spec.state_rank}")
     if spec.state_kind == "test" and not (spec.basis_kind == "symmetric" and min(ell_axis) >= 3):
         problems.append("state.kind 'test' needs the modes -3, 0 and 3 (symmetric basis, ell_max >= 3)")
+    if spec.state_kind == "test" and (spec.state_p is None) != (spec.state_theta is None):
+        missing = "state.theta" if spec.state_theta is None else "state.p"
+        problems.append(f"state.kind 'test' needs both state.p and state.theta; {missing} is missing")
     if spec.noise_kind == "poisson" and spec.photon_budget is None:
         problems.append("noise.photon_budget is required for poisson noise")
     if spec.kind == "reconstruct" and not spec.scan_file:
@@ -293,7 +296,7 @@ def _make_state(spec: ExperimentSpec, basis: ModeBasis, rank: int, seed: int) ->
     if spec.state_kind == "random":
         return random_state(basis, rank, seed)
     if spec.state_kind == "test":
-        if spec.state_p is not None and spec.state_theta is not None:
+        if spec.state_p is not None:
             return test_state(spec.state_p, spec.state_theta, basis)
         rng = np.random.default_rng(seed)
         return test_state(float(rng.uniform()), float(rng.uniform(0.0, math.pi / 2)), basis)

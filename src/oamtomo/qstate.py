@@ -164,12 +164,6 @@ def _to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
     return h
 
 
-def _clip_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to an exactly Hermitian h; no checks."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
 def hermitian_to_coords(h: np.ndarray) -> np.ndarray:
     """Low-level isometric vectorization of a Hermitian d x d matrix.
 
@@ -237,7 +231,8 @@ def project_psd(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
         raise ValueError("input is not Hermitian within tolerance")
-    return _clip_eigenvalues(0.5 * (h + h.conj().T))
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
 def state_to_json_dict(rho: DensityMatrix) -> dict:

@@ -215,7 +215,6 @@ class IntensityScan:
 
     geometry: ScanGeometry
     values: np.ndarray
-    photon_budget: float | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -333,7 +332,7 @@ def simulate_scan(
             raise ValueError("poisson noise requires a positive photon budget")
         scale = photon_budget / p.sum()
         counts = np.random.default_rng(seed).poisson(p * scale)
-        return IntensityScan(mmap.geometry, counts / scale, photon_budget=photon_budget)
+        return IntensityScan(mmap.geometry, counts / scale)
     raise ValueError(f"unknown noise model {noise!r}")
 
 
@@ -348,7 +347,7 @@ def write_scan_csv(path, scan: IntensityScan) -> None:
         fh.write("\n".join([SCAN_HEADER, *map(str.__add__, rows, values)]) + "\n")
 
 
-def read_scan_csv(path, n_pixels_per_side: int | None = None, extent: float = 3.0) -> IntensityScan:
+def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
     """Parse the scan CSV format; raises :class:`ScanFormatError` with the
     offending line number on malformed input: a bad field, a non-finite or
     negative value, a pixel outside the grid, or a (plane, px, py) seen
@@ -395,7 +394,7 @@ def read_scan_csv(path, n_pixels_per_side: int | None = None, extent: float = 3.
     bad = np.flatnonzero(values < 0)
     if bad.size:
         reject(bad[0], f"negative value {float(values[bad[0]])!r}")
-    n = int(px.max()) + 1 if n_pixels_per_side is None else n_pixels_per_side
+    n = int(px.max()) + 1
     bad = np.flatnonzero((px < 0) | (px >= n) | (py < 0) | (py >= n))
     if bad.size:
         i = bad[0]

@@ -2,10 +2,9 @@
 
 Two estimators share the least-squares objective || A x - p ||:
 
-* ``reconstruct_positive`` minimizes over the PSD cone: accelerated
-  projected gradient with restarts and eigenvalue clipping each step,
-  then a factored Levenberg-Marquardt refinement X = L L^dag that carries
-  the iterate onto the minimizer. Its ``converged`` flag is a first-order
+* ``reconstruct_positive`` minimizes over the PSD cone with a factored
+  Levenberg-Marquardt iteration on X = L L^dag, started from the PSD
+  projection of A^+ p. Its ``converged`` flag is a first-order
   optimality certificate, lambda_min(S) >= -tol and |<S, X>| / Tr X <= tol
   for the gradient matrix S = A^T (A x - p), both relative to ||A^T p||:
   the estimate is a minimizer to that tolerance. The certificate says
@@ -30,7 +29,6 @@ import numpy as np
 
 from .qstate import (
     DensityMatrix,
-    _clip_eigenvalues,
     _to_coords,
     _to_hermitian,
     coords_to_hermitian,
@@ -50,8 +48,6 @@ __all__ = [
     "report_to_json_dict",
 ]
 
-STALL_WINDOW = 10  # consecutive stagnant iterations before refinement starts
-HANDOFF_TOL = 1e-8  # relative objective decrease that counts as stagnant
 DEGENERATE_TRACE = 1e-14
 SVD_RCOND = 1e-12  # singular values of A kept in the least-squares model
 PINV_RCOND = 1e-10  # singular values of A kept in the pseudoinverse
@@ -86,7 +82,6 @@ class ReconstructionReport:
     objective_history: list[float]
     iterations_used: int
     converged: bool
-    uniqueness_entropy: float | None = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -165,136 +160,42 @@ def reconstruct_positive(
 ) -> ReconstructionReport:
     """Least-squares minimizer of ||A x - p|| over the PSD cone.
 
-    Stage 1 runs accelerated projected gradient with restarts until the
-    per-iteration objective decrease stays below HANDOFF_TOL * f0 for
-    STALL_WINDOW consecutive iterations, or the fixed-point residual drops
-    below HANDOFF_TOL relative to the iterate.
-    Stage 2, run only if the certificate below fails, refines the iterate
-    in factored form X = L L^dag (see ``_refine``).
+    A factored Levenberg-Marquardt iteration on X = L L^dag. L starts from
+    the PSD projection of ``initial``, or of A^+ p when none is given,
+    keeping the eigenvalues above RANK_TOL of the largest. Each step solves
+    the damped linearized least-squares problem for the update of L; as the
+    damping vanishes this is the minimum-norm Gauss-Newton step (the unitary
+    gauge L -> L U makes the Jacobian rank deficient). The damping adapts to
+    the ratio of actual to predicted decrease, so no accepted step raises
+    the objective.
+
+    The width of L adapts. When lambda_min(S) < 0, a new column along that
+    eigenvector (the Burer-Monteiro rank update, with an exact line search)
+    competes with the damped step, and the larger decrease wins. A factor
+    wider than the minimizer's rank makes the damped steps converge only
+    linearly, so when a step gains less than SLOW_GAIN the weakest column is
+    dropped on trial: the trial is kept if a few steps from the narrower
+    factor end below the current objective.
 
     ``converged`` certifies first-order optimality: with S the gradient
     A^T (A x - p) as a Hermitian matrix, lambda_min(S) >= -rel_tolerance
     and |<S, X>| / Tr X <= rel_tolerance, both relative to ||A^T p||. The
     problem is convex, so this means X is a minimizer to that tolerance; it
-    does not mean the minimizer is unique. Steps of both stages count
-    toward ``iterations_used`` and ``max_iterations`` and are appended to
-    ``objective_history``. The metadata carry the two certificate values,
+    does not mean the minimizer is unique. Every step, trial steps
+    included, counts toward ``iterations_used`` and ``max_iterations``;
+    ``objective_history`` holds ||A x - p|| at the start and after each
+    outer step. The metadata carry the two certificate values,
     ``stop_reason`` ("certified", "max_iterations" or "stalled"), and the
-    number of refinement steps and final factor width.
+    number of steps and final factor width.
     """
     _check_compatible(mmap, scan)
-    A = mmap.matrix
     p = scan.values
     d = mmap.basis.dim
     W, b, f_res = _least_squares_model(mmap, p)
     if W.shape[0] == 0:
         raise ValueError("measurement map is identically zero")
-    lips = float(W[0] @ W[0])
-    scale = float(np.linalg.norm(A.T @ p)) or 1.0
+    scale = float(np.linalg.norm(mmap.matrix.T @ p)) or 1.0
     tol = cfg.rel_tolerance
-
-    def smooth(x: np.ndarray) -> float:
-        r = W @ x - b
-        return 0.5 * float(r @ r) + f_res
-
-    def proj(x: np.ndarray) -> np.ndarray:
-        return _to_coords(_clip_eigenvalues(_to_hermitian(x, d)))
-
-    x = np.zeros(d * d) if initial is None else hermitian_to_coords(initial.entries)
-    x = proj(x)
-    y = x.copy()
-    t = 1.0
-    f = smooth(x)
-    f0 = max(f, 1e-300)
-    history = [math.sqrt(max(2.0 * f, 0.0))]
-    step = 1.0 / lips
-    stall = 0
-    stalled = False
-    it = 0
-    while not stalled and it < cfg.max_iterations:
-        it += 1
-        xn = proj(y - step * (W.T @ (W @ y - b)))
-        fn = smooth(xn)
-        if fn > f:
-            # momentum overshoot: restart from the last good iterate; a
-            # vanishing overshoot means the iterate sits at the floor, so it
-            # counts toward stagnation instead of resetting it
-            y = x.copy()
-            t = 1.0
-            if fn - f <= HANDOFF_TOL * f0:
-                stall += 1
-                stalled = stall >= STALL_WINDOW
-            else:
-                stall = 0
-            continue
-        decrease = f - fn
-        # prox-gradient fixed-point residual at the point the step was taken from
-        fp_residual = float(np.linalg.norm(xn - y))
-        x_prev, x, f = x, xn, fn
-        history.append(math.sqrt(max(2.0 * fn, 0.0)))
-        tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x + ((t - 1.0) / tn) * (x - x_prev)
-        t = tn
-        stall = stall + 1 if decrease <= HANDOFF_TOL * f0 else 0
-        stalled = stall >= STALL_WINDOW or fp_residual <= HANDOFF_TOL * max(
-            1.0, float(np.linalg.norm(x))
-        )
-
-    X = _to_hermitian(x, d)
-    eig, comp, _ = _certificate(_to_hermitian(W.T @ (W @ x - b), d), X, scale)
-    converged = eig >= -tol and comp <= tol
-    refine_steps = rank = 0
-    if not converged and it < cfg.max_iterations:
-        X, refine_steps, rank, eig, comp = _refine(
-            X, W, b, f_res, scale, tol, cfg.max_iterations - it, history
-        )
-        it += refine_steps
-        converged = eig >= -tol and comp <= tol
-    if converged:
-        reason = "certified"
-    elif it >= cfg.max_iterations:
-        reason = "max_iterations"
-    else:
-        reason = "stalled"
-
-    est, meta = _finalize(mmap, X)
-    meta.update(
-        stop_reason=reason,
-        kkt_min_eig=eig,
-        kkt_complementarity=comp,
-        refine_steps=refine_steps,
-        refine_rank=rank,
-    )
-    return ReconstructionReport(
-        estimate=est,
-        objective_history=history,
-        iterations_used=it,
-        converged=converged,
-        metadata=meta,
-    )
-
-
-def _refine(X, W, b, f_res, scale, tol, budget, history):
-    """Factored Levenberg-Marquardt refinement of a PSD iterate X = L L^dag.
-
-    Each step solves the damped linearized least-squares problem for the
-    update of L; as the damping vanishes this is the minimum-norm
-    Gauss-Newton step (the unitary gauge L -> L U makes the Jacobian rank
-    deficient). The damping adapts to the ratio of actual to predicted
-    decrease, so no accepted step raises the objective.
-
-    L starts with the eigenvalues of X above RANK_TOL of the largest, and
-    its width adapts. When the certificate reports lambda_min(S) < 0, a new
-    column along that eigenvector (the Burer-Monteiro rank update, with an
-    exact line search) competes with the damped step, and the larger
-    decrease wins. A factor wider than the minimizer's rank makes the
-    damped steps converge only linearly, so when a step gains less than
-    SLOW_GAIN the weakest column is dropped on trial: the trial is kept if
-    a few steps from the narrower factor end below the current objective.
-    Returns the final X, the number of steps taken, the width of L, and the
-    two certificate values.
-    """
-    d = X.shape[0]
 
     def state(L):
         Xn = L @ L.conj().T
@@ -327,10 +228,12 @@ def _refine(X, W, b, f_res, scale, tol, budget, history):
             mu *= LM_RAISE
         return None
 
-    w, V = np.linalg.eigh(X)
+    X0 = _to_hermitian(_pseudoinverse(mmap, p)[0], d) if initial is None else initial.entries
+    w, V = np.linalg.eigh(X0)
     k = max(1, int(np.sum(w > RANK_TOL * w[-1])))
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
     cur = state(L)
+    history = [math.sqrt(max(2.0 * cur[3], 0.0))]
     mu = None
     failed_widths: set[int] = set()
     steps = 0
@@ -338,7 +241,8 @@ def _refine(X, W, b, f_res, scale, tol, budget, history):
         X, _, r, f = cur
         S = _to_hermitian(W.T @ r, d)
         eig, comp, v = _certificate(S, X, scale)
-        if (eig >= -tol and comp <= tol) or steps >= budget:
+        converged = eig >= -tol and comp <= tol
+        if converged or steps >= cfg.max_iterations:
             break
         steps += 1
         k = L.shape[1]
@@ -362,7 +266,7 @@ def _refine(X, W, b, f_res, scale, tol, budget, history):
                 u, sv, _ = np.linalg.svd(L, full_matrices=False)
                 trial = u[:, : k - 1] * sv[: k - 1]
                 trial_state, trial_mu = state(trial), None
-                for _ in range(min(TRIAL_STEPS, budget - steps)):
+                for _ in range(min(TRIAL_STEPS, cfg.max_iterations - steps)):
                     steps += 1
                     out = damped_step(trial, trial_state, trial_mu)
                     if out is None:
@@ -375,7 +279,28 @@ def _refine(X, W, b, f_res, scale, tol, budget, history):
                 else:
                     failed_widths.add(k)
         history.append(math.sqrt(max(2.0 * cur[3], 0.0)))
-    return X, steps, L.shape[1], eig, comp
+
+    if converged:
+        reason = "certified"
+    elif steps >= cfg.max_iterations:
+        reason = "max_iterations"
+    else:
+        reason = "stalled"
+    est, meta = _finalize(mmap, X)
+    meta.update(
+        stop_reason=reason,
+        kkt_min_eig=eig,
+        kkt_complementarity=comp,
+        refine_steps=steps,
+        refine_rank=L.shape[1],
+    )
+    return ReconstructionReport(
+        estimate=est,
+        objective_history=history,
+        iterations_used=steps,
+        converged=converged,
+        metadata=meta,
+    )
 
 
 def reconstruct_pseudoinverse(
@@ -384,16 +309,15 @@ def reconstruct_pseudoinverse(
     """Minimum-norm least-squares estimate A^+ p, not PSD-projected.
 
     Hermitian by construction (the coordinates are real); trace-normalized
-    for metric comparison. Both the raw and normalized residuals are kept
-    in the metadata.
+    for metric comparison. The residual ||A x - p|| of the raw estimate is
+    kept in the metadata.
     """
     _check_compatible(mmap, scan)
-    A = mmap.matrix
     p = scan.values
     d = mmap.basis.dim
     x, _ = _pseudoinverse(mmap, p)
     raw = coords_to_hermitian(x, d)
-    residual = float(np.linalg.norm(A @ x - p))
+    residual = float(np.linalg.norm(mmap.matrix @ x - p))
     tr = np.trace(raw).real
     meta = {"raw_trace": float(tr), "raw_residual": residual}
     if abs(tr) < DEGENERATE_TRACE:
@@ -401,9 +325,6 @@ def reconstruct_pseudoinverse(
         est = DensityMatrix(mmap.basis, np.eye(d) / d)
     else:
         est = DensityMatrix(mmap.basis, raw / tr, validate=False)
-        meta["normalized_residual"] = float(
-            np.linalg.norm(A @ hermitian_to_coords(est.entries) - p)
-        )
     return ReconstructionReport(
         estimate=est,
         objective_history=[residual],
@@ -487,6 +408,6 @@ def report_to_json_dict(rep: ReconstructionReport) -> dict:
         "objective_history": list(rep.objective_history),
         "iterations_used": rep.iterations_used,
         "converged": rep.converged,
-        "uniqueness_entropy": rep.uniqueness_entropy,
+        "uniqueness_entropy": None,
         "metadata": rep.metadata,
     }

@@ -296,6 +296,10 @@ def test_cli_bad_set_exits_2(capsys):
         ("error-sweep", ["trials=1.5"], "trials must be"),
         ("rank-analysis", ["z_max=true"], "z_max must be"),
         ("simulate", ["compute_entropy=no"], "compute_entropy must be"),
+        ("simulate", ["state.kind=test", "state.p=0.3"], "state.theta is missing"),
+        ("simulate", ["state.kind=test", "state.theta=0.5"], "state.p is missing"),
+        ("rank-analysis", ["kind=bogus"], "kind must be one of"),
+        ("rank-analysis", ["kind=simulate"], "does not match the subcommand's kind"),
     ],
     ids=[
         "basis not an object",
@@ -322,6 +326,10 @@ def test_cli_bad_set_exits_2(capsys):
         "fractional trials",
         "z_max a bool",
         "compute_entropy not a bool",
+        "test-state weight without its angle",
+        "test-state angle without its weight",
+        "unknown spec kind",
+        "spec kind of another subcommand",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):
@@ -455,3 +463,32 @@ def test_cli_entropy_sweep_writes_csv(tmp_path, capsys):
     lines = (tmp_path / "entropy_sweep.csv").read_text().splitlines()
     assert lines[0] == "Z,branch,n_states,mean_entropy,var_entropy"
     assert lines[1].startswith("2,pseudoinverse,2,")
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("error-sweep", {"basis": {"ell_max": 1}, "z_values": [1, 2], "ranks": [1, 2], "trials": 2}),
+        (
+            "entropy-sweep",
+            {
+                "basis": {"ell_max": 3},
+                "z_values": [1, 2],
+                "n_states": 2,
+                "state": {"kind": "test"},
+                "solver": {"multistart": 3},
+            },
+        ),
+    ],
+)
+def test_cli_sweep_bytes_independent_of_threads(tmp_path, capsys, command, fields):
+    """A sweep's cells run in a process pool under --threads 2, and the CSV
+    is byte-identical to the one written in process."""
+    spec = write_spec(tmp_path, "spec.json", {"geometry": SMALL_GEOM, **fields})
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main([command, "--spec", spec, "--out", str(out), "--threads", threads]) == EXIT_OK
+        csvs.append((out / f"{command.replace('-', '_')}.csv").read_bytes())
+    capsys.readouterr()
+    assert csvs[0] == csvs[1]
