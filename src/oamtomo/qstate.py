@@ -154,13 +154,13 @@ def _to_coords(h: np.ndarray) -> np.ndarray:
 
 
 def _to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian matrix of a length-d^2 float coordinate vector; no checks."""
+    """Hermitian (..., d, d) stack of a (..., d^2) float coordinate stack; no checks."""
     iu, ju = _triu(d)
-    h = np.zeros((d, d), dtype=complex)
-    h[np.arange(d), np.arange(d)] = x[:d]
-    off = (x[d::2] + 1j * x[d + 1 :: 2]) / _SQRT2
-    h[iu, ju] = off
-    h[ju, iu] = off.conjugate()
+    h = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
+    h[..., np.arange(d), np.arange(d)] = x[..., :d]
+    off = (x[..., d::2] + 1j * x[..., d + 1 :: 2]) / _SQRT2
+    h[..., iu, ju] = off
+    h[..., ju, iu] = off.conjugate()
     return h
 
 

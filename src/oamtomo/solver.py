@@ -34,6 +34,7 @@ from .qstate import (
     coords_to_hermitian,
     hermitian_to_coords,
     project_psd,
+    state_to_json_dict,
 )
 from .sensor import IntensityScan, MeasurementMap
 
@@ -52,7 +53,7 @@ DEGENERATE_TRACE = 1e-14
 SVD_RCOND = 1e-12  # singular values of A kept in the least-squares model
 PINV_RCOND = 1e-10  # singular values of A kept in the pseudoinverse
 RANK_TOL = 0.05  # eigenvalues above this fraction of the largest set the initial factor width
-LM_DAMPING = 1e-10  # initial damping, relative to the largest squared Jacobian singular value
+LM_DAMPING = 1e-10  # initial damping, relative to ||J||_F^2, the trace of the Gram matrix
 LM_TRIALS = 40  # damping increases tried before a refinement step counts as stalled
 LM_RAISE = 4.0  # damping factor after a rejected step
 LM_MIN_SHRINK = 0.1  # smallest damping factor after an accepted step
@@ -137,6 +138,12 @@ def _pseudoinverse(mmap: MeasurementMap, p: np.ndarray) -> tuple[np.ndarray, int
     return vt[:rank].T @ (mmap.project(p, rank)[0] / s[:rank]), rank
 
 
+def _jacobian(M: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Jacobian in (Re L, Im L) of Tr(M_i L L^dag): rows 2 [Re M_i L | Im M_i L]."""
+    G = (M @ L).reshape(M.shape[0], -1)
+    return 2.0 * np.concatenate([G.real, G.imag], axis=1)
+
+
 def _certificate(S: np.ndarray, X: np.ndarray, scale: float) -> tuple[float, float, np.ndarray]:
     """Relative first-order optimality residuals of a PSD iterate X.
 
@@ -163,11 +170,12 @@ def reconstruct_positive(
     A factored Levenberg-Marquardt iteration on X = L L^dag. L starts from
     the PSD projection of ``initial``, or of A^+ p when none is given,
     keeping the eigenvalues above RANK_TOL of the largest. Each step solves
-    the damped linearized least-squares problem for the update of L; as the
-    damping vanishes this is the minimum-norm Gauss-Newton step (the unitary
-    gauge L -> L U makes the Jacobian rank deficient). The damping adapts to
-    the ratio of actual to predicted decrease, so no accepted step raises
-    the objective.
+    (J^T J + mu) delta = -J^T r for the update D of L (:func:`_jacobian`)
+    through the smaller Gram matrix, one dense solve per damping trial (a
+    singular system rejects the trial). It is accepted on the exact change
+    of 0.5 ||r||^2, -dr.(r + dr/2) with dr = J delta + W coords(D D^dag),
+    so noisy data certify at the default tolerance: there a difference of
+    objective values cancels below the certificate's resolution.
 
     The width of L adapts. When lambda_min(S) < 0, a new column along that
     eigenvector (the Burer-Monteiro rank update, with an exact line search)
@@ -177,16 +185,13 @@ def reconstruct_positive(
     dropped on trial: the trial is kept if a few steps from the narrower
     factor end below the current objective.
 
-    ``converged`` certifies first-order optimality: with S the gradient
-    A^T (A x - p) as a Hermitian matrix, lambda_min(S) >= -rel_tolerance
-    and |<S, X>| / Tr X <= rel_tolerance, both relative to ||A^T p||. The
-    problem is convex, so this means X is a minimizer to that tolerance; it
-    does not mean the minimizer is unique. Every step, trial steps
-    included, counts toward ``iterations_used`` and ``max_iterations``;
-    ``objective_history`` holds ||A x - p|| at the start and after each
-    outer step. The metadata carry the two certificate values,
-    ``stop_reason`` ("certified", "max_iterations" or "stalled"), and the
-    number of steps and final factor width.
+    ``converged`` is the first-order certificate of the module docstring with
+    tol = rel_tolerance: X is a minimizer to that tolerance, not necessarily
+    the only one. Every step, trial steps included, counts toward
+    ``iterations_used`` and ``max_iterations``; ``objective_history`` holds
+    ||A x - p|| at the start and after each outer step. The metadata carry
+    both certificate values, ``stop_reason`` ("certified", "max_iterations"
+    or "stalled"), the number of steps and the final factor width.
     """
     _check_compatible(mmap, scan)
     p = scan.values
@@ -199,32 +204,34 @@ def reconstruct_positive(
 
     def state(L):
         Xn = L @ L.conj().T
-        xn = _to_coords(0.5 * (Xn + Xn.conj().T))
-        r = W @ xn - b
-        return Xn, xn, r, 0.5 * float(r @ r) + f_res
+        r = W @ _to_coords(0.5 * (Xn + Xn.conj().T)) - b
+        return Xn, r, 0.5 * float(r @ r) + f_res
+
+    M = _to_hermitian(W, d)  # (W x)_i = Tr(M_i X)
 
     def damped_step(L, cur, mu):
-        """One accepted damped step from L, or None if none decreases f."""
-        _, _, r, f = cur
-        k = L.shape[1]
-        dirs = np.eye(d * k).reshape(d * k, d, k)
-        dirs = np.concatenate([dirs, 1j * dirs])
-        T = dirs @ L.conj().T
-        dX = T + np.swapaxes(T, -1, -2).conj()
-        u, s, vt = np.linalg.svd(W @ _to_coords(dX).T, full_matrices=False)
-        coef = u.T @ r
+        """One accepted damped step from L and its decrease of f, or None."""
+        r = cur[1]
+        J = _jacobian(M, L)
+        wide = J.shape[0] <= J.shape[1]  # solve through the smaller Gram matrix
+        gram, rhs = (J @ J.T, r) if wide else (J.T @ J, -(J.T @ r))
         if mu is None:
-            mu = LM_DAMPING * s[0] ** 2
+            mu = LM_DAMPING * float(np.trace(gram))
         for _ in range(LM_TRIALS):
-            shrink = mu / (s * s + mu)
-            # predicted decrease of 0.5 ||r + J delta||^2
-            predicted = 0.5 * float(np.sum(coef**2 * (1.0 - shrink**2)))
-            delta = -vt.T @ (s * coef / (s * s + mu))
-            cand = L + (delta[: d * k] + 1j * delta[d * k :]).reshape(d, k)
-            new = state(cand)
-            if predicted > 0 and new[3] < f:
-                gain = (f - new[3]) / predicted
-                return cand, new, mu * max(LM_MIN_SHRINK, 1.0 - (2.0 * gain - 1.0) ** 3)
+            try:
+                y = np.linalg.solve(gram + mu * np.eye(len(gram)), rhs)
+            except np.linalg.LinAlgError:
+                mu *= LM_RAISE
+                continue
+            delta = -(J.T @ y) if wide else y
+            D = (delta[: len(delta) // 2] + 1j * delta[len(delta) // 2 :]).reshape(L.shape)
+            Jd = J @ delta
+            dr = Jd + W @ _to_coords(D @ D.conj().T)
+            predicted = -float(Jd @ (r + 0.5 * Jd))  # decrease of 0.5 ||r||^2 in the model
+            decrease = -float(dr @ (r + 0.5 * dr))  # and its exact decrease, no cancellation
+            if predicted > 0 and decrease > 0:
+                mu *= max(LM_MIN_SHRINK, 1.0 - (2.0 * decrease / predicted - 1.0) ** 3)
+                return L + D, state(L + D), mu, decrease
             mu *= LM_RAISE
         return None
 
@@ -233,12 +240,12 @@ def reconstruct_positive(
     k = max(1, int(np.sum(w > RANK_TOL * w[-1])))
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
     cur = state(L)
-    history = [math.sqrt(max(2.0 * cur[3], 0.0))]
+    history = [math.sqrt(max(2.0 * cur[2], 0.0))]
     mu = None
     failed_widths: set[int] = set()
     steps = 0
     while True:
-        X, _, r, f = cur
+        X, r, f = cur
         S = _to_hermitian(W.T @ r, d)
         eig, comp, v = _certificate(S, X, scale)
         converged = eig >= -tol and comp <= tol
@@ -247,7 +254,7 @@ def reconstruct_positive(
         steps += 1
         k = L.shape[1]
         step = damped_step(L, cur, mu)
-        step_gain = f - step[1][3] if step else 0.0
+        step_gain = step[3] if step else 0.0
         rank_gain = 0.0
         if eig < -tol and k < d:
             D = np.outer(v, v.conj())
@@ -261,8 +268,8 @@ def reconstruct_positive(
         elif step is None:
             break
         else:
-            L, cur, mu = step
-            if k > 1 and k not in failed_widths and cur[3] - f_res > SLOW_GAIN * (f - f_res):
+            L, cur, mu, _ = step
+            if k > 1 and k not in failed_widths and cur[2] - f_res > SLOW_GAIN * (f - f_res):
                 u, sv, _ = np.linalg.svd(L, full_matrices=False)
                 trial = u[:, : k - 1] * sv[: k - 1]
                 trial_state, trial_mu = state(trial), None
@@ -271,14 +278,14 @@ def reconstruct_positive(
                     out = damped_step(trial, trial_state, trial_mu)
                     if out is None:
                         break
-                    trial, trial_state, trial_mu = out
-                    if trial_state[3] < cur[3]:
+                    trial, trial_state, trial_mu, _ = out
+                    if trial_state[2] < cur[2]:
                         break
-                if trial_state[3] < cur[3]:
+                if trial_state[2] < cur[2]:
                     L, cur, mu = trial, trial_state, trial_mu
                 else:
                     failed_widths.add(k)
-        history.append(math.sqrt(max(2.0 * cur[3], 0.0)))
+        history.append(math.sqrt(max(2.0 * cur[2], 0.0)))
 
     if converged:
         reason = "certified"
@@ -378,12 +385,7 @@ def multistart_estimates(
         null_basis = mmap.svd.vt[rank:]
         scale = float(np.linalg.norm(x0)) / 10.0
         for i in range(cfg.multistart):
-            shift = (
-                null_basis.T @ rng.normal(size=null_basis.shape[0]) * scale
-                if null_basis.shape[0]
-                else 0.0
-            )
-            x = x0 + shift
+            x = x0 + null_basis.T @ rng.normal(size=null_basis.shape[0]) * scale
             raw = coords_to_hermitian(x, d)
             tr = np.trace(raw).real
             columns[:, i] = hermitian_to_coords(raw / tr) if abs(tr) > DEGENERATE_TRACE else x
@@ -401,8 +403,6 @@ def uniqueness_entropy(
 
 
 def report_to_json_dict(rep: ReconstructionReport) -> dict:
-    from .qstate import state_to_json_dict
-
     return {
         "estimate": state_to_json_dict(rep.estimate),
         "objective_history": list(rep.objective_history),

@@ -9,6 +9,8 @@ from oamtomo.experiments import derive_seed
 from oamtomo.qstate import (
     DensityMatrix,
     ModeBasis,
+    _to_coords,
+    _to_hermitian,
     hermitian_to_coords,
     hs_error,
     random_state,
@@ -24,6 +26,8 @@ from oamtomo.sensor import (
 from oamtomo.solver import (
     ReconstructionReport,
     SolverConfig,
+    _jacobian,
+    _least_squares_model,
     multistart_estimates,
     reconstruct_positive,
     reconstruct_pseudoinverse,
@@ -120,6 +124,53 @@ def test_positive_not_certified_off_the_minimizer():
     assert not rep.converged
     assert rep.metadata["stop_reason"] == "max_iterations"
     assert rep.iterations_used == 10
+
+
+def test_positive_certified_on_poisson_data():
+    """With shot noise the residual stays large, so the decrease that closes
+    the last of the complementarity gap is below eps * f. Steps are judged
+    on that decrease itself, not on a difference of two objective values,
+    so the solve still reaches the default certificate."""
+    basis = ModeBasis.symmetric_span(4)
+    mmap = build_measurement_map(basis, ScanGeometry.default(4, n_pixels_per_side=31))
+    rho = random_state(basis, 2, seed=5)
+    scan = simulate_scan(rho, mmap, noise="poisson", photon_budget=1e5, seed=5)
+    rep = reconstruct_positive(mmap, scan)
+    assert rep.converged
+    assert rep.metadata["stop_reason"] == "certified"
+    assert rep.metadata["kkt_min_eig"] >= -SolverConfig().rel_tolerance
+    assert rep.metadata["kkt_complementarity"] <= SolverConfig().rel_tolerance
+
+
+@pytest.mark.parametrize("n_planes", [1, 2, 3])
+@pytest.mark.parametrize("width", ["one", "full"])
+def test_jacobian_matches_direction_stack(n_planes, width):
+    """The analytic Jacobian of W coords(L L^dag) agrees with the one built
+    column by column from the unit directions of L, and applied to a step E
+    it gives W coords(E L^dag + L E^dag)."""
+    basis = ModeBasis.symmetric_span(7)
+    d = basis.dim
+    mmap = build_measurement_map(basis, ScanGeometry.default(n_planes))
+    W = _least_squares_model(mmap, np.zeros(mmap.matrix.shape[0]))[0]
+    k = 1 if width == "one" else d
+    rng = np.random.default_rng(n_planes)
+    L = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+    E = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+
+    J = _jacobian(_to_hermitian(W, d), L)
+    assert J.shape == (W.shape[0], 2 * d * k)
+    # k = 1 solves through J^T J, k = d through J J^T
+    assert (J.shape[0] <= J.shape[1]) == (width == "full")
+
+    dirs = np.eye(d * k).reshape(d * k, d, k)
+    dirs = np.concatenate([dirs, 1j * dirs])
+    T = dirs @ L.conj().T
+    reference = W @ _to_coords(T + np.swapaxes(T, -1, -2).conj()).T
+    assert np.linalg.norm(J - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    step = J @ np.concatenate([E.real.ravel(), E.imag.ravel()])
+    expected = W @ _to_coords(E @ L.conj().T + L @ E.conj().T)
+    assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_positive_fixed_point_at_truth():
