@@ -17,7 +17,15 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .qstate import DensityMatrix, ModeBasis, hs_error, random_state, read_state_json, test_state
+from .qstate import (
+    DensityMatrix,
+    ModeBasis,
+    StateValidationError,
+    hs_error,
+    random_state,
+    read_state_json,
+    test_state,
+)
 from .sensor import (
     IntensityScan,
     MeasurementMap,
@@ -284,8 +292,8 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
         problems.append("state.kind 'file' requires state.path")
     files = {"scan_file": spec.scan_file, "state_file": spec.state_file, "state.path": spec.state_path}
     for name, path in files.items():
-        if path and not os.path.exists(path):
-            problems.append(f"{name} does not exist: {path}")
+        if path and not os.path.isfile(path):
+            problems.append(f"{name} does not exist as a regular file: {path}")
 
     if problems:
         raise SpecValidationError(problems)
@@ -300,7 +308,10 @@ def _make_state(spec: ExperimentSpec, basis: ModeBasis, rank: int, seed: int) ->
             return test_state(spec.state_p, spec.state_theta, basis)
         rng = np.random.default_rng(seed)
         return test_state(float(rng.uniform()), float(rng.uniform(0.0, math.pi / 2)), basis)
-    return read_state_json(spec.state_path)
+    rho = read_state_json(spec.state_path)
+    if rho.basis != basis:
+        raise StateValidationError(f"state file is over modes {rho.basis.ells}, not {basis.ells}")
+    return rho
 
 
 def _map_cells(spec: ExperimentSpec, cell_fn, cells: list) -> list:
@@ -312,19 +323,13 @@ def _map_cells(spec: ExperimentSpec, cell_fn, cells: list) -> list:
 
 
 def run_rank_analysis(spec: ExperimentSpec) -> list[tuple[int, int]]:
-    """(Z, n_Z) for Z = 1..z_max; prefix rows of one full map are reused."""
+    """(Z, n_Z) for Z = 1..z_max, each from the map of the first Z planes."""
     basis = spec.basis()
     geometry = spec.geometry(n_planes=spec.z_max)
-    full = build_measurement_map(basis, geometry)
-    rows_per_plane = geometry.n_pixels
     out = []
     for z in range(1, spec.z_max + 1):
-        sub = MeasurementMap(
-            basis,
-            ScanGeometry(spec.n_pixels_per_side, spec.extent, geometry.planes[:z]),
-            full.matrix[: z * rows_per_plane],
-        )
-        out.append((z, independent_detections(sub)))
+        prefix = replace(geometry, planes=geometry.planes[:z])
+        out.append((z, independent_detections(build_measurement_map(basis, prefix))))
     return out
 
 

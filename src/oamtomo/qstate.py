@@ -245,11 +245,11 @@ def state_to_json_dict(rho: DensityMatrix) -> dict:
 
 def state_from_json_dict(obj: dict) -> DensityMatrix:
     try:
-        ells = tuple(int(l) for l in obj["ells"])
+        basis = ModeBasis(tuple(int(l) for l in obj["ells"]))
         entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise StateValidationError(f"malformed density-matrix record: {exc}") from exc
-    return DensityMatrix(ModeBasis(ells), entries)
+    return DensityMatrix(basis, entries)
 
 
 def write_state_json(path, rho: DensityMatrix) -> None:
@@ -259,5 +259,8 @@ def write_state_json(path, rho: DensityMatrix) -> None:
 
 def read_state_json(path) -> DensityMatrix:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise StateValidationError(f"state file is not valid JSON: {exc}") from exc
     return state_from_json_dict(obj)

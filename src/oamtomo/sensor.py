@@ -16,15 +16,14 @@ real matrix A acting on the Hermitian coordinates of states. The planes
 differ only through the Gouy phases, which enter a pair of modes a, b as
 e^{i (|l_a| - |l_b|) arctan(zeta)}: each plane's block is the Gouy-free
 block at the waist with every (Re, Im) coordinate pair turned by that
-angle (:func:`_turn`). The map is built, checked and factored through this
-structure.
+angle (:func:`_turn`). The map is built and factored through this structure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -49,9 +48,7 @@ __all__ = [
 DEFAULT_PLANE_POOL = (0.0, 1 / 3, 1 / 2, 1.0, 3 / 2, 2.0, 5 / 2, 3.0, 4.0, 5.0)
 
 SCAN_HEADER = "plane_index,zeta,px,py,value"
-# a plane block may differ from the first block turned by the Gouy rotation
-# by this much, relative to the larger of the two probe images
-ROTATION_TOL = 1e-12
+DETECTION_TOL = 1e-8  # singular values of A counted as detections, relative to the largest
 
 
 class ScanFormatError(ValueError):
@@ -132,35 +129,25 @@ class MapFactors(NamedTuple):
 class MeasurementMap:
     """Real matrix A with A @ coords(rho) = stacked pixel probabilities.
 
-    Plane j's block A_j must be the first block A_0 turned by the Gouy
-    rotation R(zeta_0)^T R(zeta_j); the constructor checks this with one
-    fixed random probe per plane and raises ``ValueError`` otherwise. The
-    map factors itself once, on first use of :attr:`svd`, and keeps the
-    factors for as long as it lives; the solvers and
-    :func:`independent_detections` share them.
+    A is built from the basis and the geometry alone: plane zeta's block is
+    the Gouy-free block at the waist turned by the Gouy rotation
+    R(arctan zeta), rows ordered plane-major with row-major pixels. The map
+    factors itself once, on first use of :attr:`svd`, and keeps the factors
+    for as long as it lives; the solvers and :func:`independent_detections`
+    share them.
     """
 
     basis: ModeBasis
     geometry: ScanGeometry
-    matrix: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        expect = (self.geometry.n_pixels * self.geometry.n_planes, self.basis.dim**2)
-        if matrix.shape != expect:
-            raise ValueError(f"matrix shape {matrix.shape} does not match geometry {expect}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        blocks = self._blocks()
-        probe = np.random.default_rng(0).standard_normal(expect[1])
-        for j, angle in enumerate(self._angles()[1:], start=1):
-            seen = blocks[j] @ probe
-            turned = blocks[0] @ _turn(probe, self.basis, -angle)
-            miss = float(np.linalg.norm(seen - turned))
-            if miss > ROTATION_TOL * max(np.linalg.norm(seen), np.linalg.norm(turned)):
-                raise ValueError(
-                    f"block of plane {j} is not the first block turned by its Gouy rotation"
-                )
+        geom = self.geometry
+        object.__setattr__(self, "matrix", np.empty((geom.n_planes * geom.n_pixels, self.basis.dim**2)))
+        free = _gouy_free_block(self.basis, geom)
+        for block, zeta in zip(self._blocks(), geom.planes):
+            _turn(free, self.basis, math.atan(zeta), out=block)
+        self.matrix.setflags(write=False)
 
     def _blocks(self) -> np.ndarray:
         """A as a (planes, pixels, d^2) view."""
@@ -284,18 +271,12 @@ def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry) -> np.ndarray:
 
 
 def build_measurement_map(basis: ModeBasis, geometry: ScanGeometry) -> MeasurementMap:
-    """Assemble A over all planes; rows ordered plane-major, pixels row-major.
-    Plane zeta's block is the Gouy-free block turned by arctan(zeta)."""
-    free = _gouy_free_block(basis, geometry)
-    matrix = np.empty((geometry.n_planes * geometry.n_pixels, basis.dim**2))
-    blocks = matrix.reshape(geometry.n_planes, geometry.n_pixels, -1)
-    for block, zeta in zip(blocks, geometry.planes):
-        _turn(free, basis, math.atan(zeta), out=block)
-    return MeasurementMap(basis, geometry, matrix)
+    """The measurement map of ``basis`` seen over ``geometry``."""
+    return MeasurementMap(basis, geometry)
 
 
-def independent_detections(mmap: MeasurementMap, tol: float = 1e-8) -> int:
-    """Numerical rank of A: the map's singular values above tol * sigma_max.
+def independent_detections(mmap: MeasurementMap) -> int:
+    """Numerical rank of A: the map's singular values above DETECTION_TOL * sigma_max.
 
     With the first block A_0 = Q T, this is n_Z = rank [T R(zeta_1); ...;
     T R(zeta_Z)] (rotations relative to the first plane), the matrix whose
@@ -305,10 +286,8 @@ def independent_detections(mmap: MeasurementMap, tol: float = 1e-8) -> int:
     see the null directions H_l = |l><l| - |-l><-l| that one plane misses:
     they lie in the subspace every R fixes.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"relative threshold must lie in (0, 1), got {tol}")
     s = mmap.svd.s
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > DETECTION_TOL * s[0]))
 
 
 def simulate_scan(
@@ -348,36 +327,39 @@ def write_scan_csv(path, scan: IntensityScan) -> None:
 
 
 def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
-    """Parse the scan CSV format; raises :class:`ScanFormatError` with the
-    offending line number on malformed input: a bad field, a non-finite or
-    negative value, a pixel outside the grid, or a (plane, px, py) seen
-    before."""
+    """Parse the scan CSV format; raises :class:`ScanFormatError` on a file
+    that is not UTF-8 text, and with the offending line number on a bad
+    field, a plane position under two indices, a non-finite or negative
+    value, a pixel outside the grid, or a (plane, px, py) seen before."""
     planes: list[float] = []
     fields: list[float] = []  # (plane, py, px, value) per data row, flattened
     blank: list[int] = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != SCAN_HEADER:
-            raise ScanFormatError(f"line 1: expected header {SCAN_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split(",")
-            if len(parts) != 5:
-                if not line.strip():
-                    blank.append(lineno)
-                    continue
-                raise ScanFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                j = int(parts[0])
-                zeta = float(parts[1])
-                px, py = int(parts[2]), int(parts[3])
-                value = float(parts[4])
-            except ValueError as exc:
-                raise ScanFormatError(f"line {lineno}: {exc}") from exc
-            if j == len(planes):
-                planes.append(zeta)
-            elif not 0 <= j < len(planes) or planes[j] != zeta:
-                raise ScanFormatError(f"line {lineno}: inconsistent plane index/position")
-            fields.extend((j, py, px, value))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != SCAN_HEADER:
+                raise ScanFormatError(f"line 1: expected header {SCAN_HEADER!r}, got {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.split(",")
+                if len(parts) != 5:
+                    if not line.strip():
+                        blank.append(lineno)
+                        continue
+                    raise ScanFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+                try:
+                    j = int(parts[0])
+                    zeta = float(parts[1])
+                    px, py = int(parts[2]), int(parts[3])
+                    value = float(parts[4])
+                except ValueError as exc:
+                    raise ScanFormatError(f"line {lineno}: {exc}") from exc
+                if j == len(planes) and zeta not in planes:
+                    planes.append(zeta)
+                elif not 0 <= j < len(planes) or planes[j] != zeta:
+                    raise ScanFormatError(f"line {lineno}: inconsistent plane index/position")
+                fields.extend((j, py, px, value))
+    except UnicodeDecodeError as exc:
+        raise ScanFormatError(f"scan file is not UTF-8 text: {exc}") from exc
     if not fields:
         raise ScanFormatError("scan file contains no data rows")
 

@@ -23,7 +23,7 @@ the normalized singular values. Zero entropy means every run agreed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 DEGENERATE_TRACE = 1e-14
-SVD_RCOND = 1e-12  # singular values of A kept in the least-squares model
-PINV_RCOND = 1e-10  # singular values of A kept in the pseudoinverse
+SVD_RCOND = 1e-12  # singular values of A kept in the least-squares model and A^+
 RANK_TOL = 0.05  # eigenvalues above this fraction of the largest set the initial factor width
 LM_DAMPING = 1e-10  # initial damping, relative to ||J||_F^2, the trace of the Gram matrix
 LM_TRIALS = 40  # damping increases tried before a refinement step counts as stalled
@@ -87,11 +86,8 @@ class ReconstructionReport:
 
 
 def _check_compatible(mmap: MeasurementMap, scan: IntensityScan) -> None:
-    if scan.values.shape[0] != mmap.matrix.shape[0]:
-        raise ValueError(
-            f"scan length {scan.values.shape[0]} does not match "
-            f"measurement map rows {mmap.matrix.shape[0]}"
-        )
+    if scan.geometry != mmap.geometry:
+        raise ValueError(f"scan geometry {scan.geometry} does not match the map's {mmap.geometry}")
 
 
 def _finalize(mmap: MeasurementMap, raw: np.ndarray) -> tuple[DensityMatrix, dict]:
@@ -113,29 +109,20 @@ def _finalize(mmap: MeasurementMap, raw: np.ndarray) -> tuple[DensityMatrix, dic
 def _least_squares_model(mmap: MeasurementMap, p: np.ndarray):
     """Thin-SVD form of 0.5 ||A x - p||^2 = 0.5 ||W x - b||^2 + f_res.
 
-    W = diag(s) V^T keeps the singular values above SVD_RCOND * s_max,
-    b = U^T p, and f_res is the part of the data no x can fit. Evaluating
-    the objective and its gradient W^T (W x - b) this way avoids the
-    cancellation of the expanded quadratic, so residuals far below
+    Returns (s, vt, b, f_res): the singular values of A above
+    SVD_RCOND * s_max, their rows vt of V^T, b = U^T p on those singular
+    vectors, and the part f_res of the data no x can fit. Then
+    W = diag(s) vt, and A^+ p = vt^T (b / s) is the pseudoinverse solution.
+    Evaluating the objective and its gradient W^T (W x - b) this way avoids
+    the cancellation of the expanded quadratic, so residuals far below
     sqrt(eps) * ||p|| are still resolved. The factors are the map's own,
-    and b and f_res come from :meth:`MeasurementMap.project`, which never
-    forms the m-row U.
+    and b and f_res come from one :meth:`MeasurementMap.project`, which
+    never forms the m-row U.
     """
     _, _, s, vt = mmap.svd
     rank = int(np.sum(s > SVD_RCOND * s[0]))
     b, f_res = mmap.project(p, rank)
-    return s[:rank, None] * vt[:rank], b, f_res
-
-
-def _pseudoinverse(mmap: MeasurementMap, p: np.ndarray) -> tuple[np.ndarray, int]:
-    """A^+ p = V diag(1/s) U^T p from the map's own SVD, and the rank of A.
-
-    Singular values at or below PINV_RCOND * s_max count as zero, so the
-    solution has no component in the rows of Vt past the rank.
-    """
-    _, _, s, vt = mmap.svd
-    rank = int(np.sum(s > PINV_RCOND * s[0]))
-    return vt[:rank].T @ (mmap.project(p, rank)[0] / s[:rank]), rank
+    return s[:rank], vt[:rank], b, f_res
 
 
 def _jacobian(M: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -196,7 +183,8 @@ def reconstruct_positive(
     _check_compatible(mmap, scan)
     p = scan.values
     d = mmap.basis.dim
-    W, b, f_res = _least_squares_model(mmap, p)
+    s, vt, b, f_res = _least_squares_model(mmap, p)
+    W = s[:, None] * vt
     if W.shape[0] == 0:
         raise ValueError("measurement map is identically zero")
     scale = float(np.linalg.norm(mmap.matrix.T @ p)) or 1.0
@@ -235,7 +223,7 @@ def reconstruct_positive(
             mu *= LM_RAISE
         return None
 
-    X0 = _to_hermitian(_pseudoinverse(mmap, p)[0], d) if initial is None else initial.entries
+    X0 = _to_hermitian(vt.T @ (b / s), d) if initial is None else initial.entries
     w, V = np.linalg.eigh(X0)
     k = max(1, int(np.sum(w > RANK_TOL * w[-1])))
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
@@ -322,7 +310,8 @@ def reconstruct_pseudoinverse(
     _check_compatible(mmap, scan)
     p = scan.values
     d = mmap.basis.dim
-    x, _ = _pseudoinverse(mmap, p)
+    s, vt, b, _ = _least_squares_model(mmap, p)
+    x = vt.T @ (b / s)
     raw = coords_to_hermitian(x, d)
     residual = float(np.linalg.norm(mmap.matrix @ x - p))
     tr = np.trace(raw).real
@@ -377,12 +366,13 @@ def multistart_estimates(
             rho0 = g @ g.conj().T
             rho0 /= np.trace(rho0).real
             init = DensityMatrix(mmap.basis, 0.5 * (rho0 + rho0.conj().T))
-            rep = reconstruct_positive(mmap, scan, replace(cfg, seed=cfg.seed + i), init)
+            rep = reconstruct_positive(mmap, scan, cfg, init)
             columns[:, i] = hermitian_to_coords(rep.estimate.entries)
     else:
         _check_compatible(mmap, scan)
-        x0, rank = _pseudoinverse(mmap, scan.values)
-        null_basis = mmap.svd.vt[rank:]
+        s, vt, b, _ = _least_squares_model(mmap, scan.values)
+        x0 = vt.T @ (b / s)
+        null_basis = mmap.svd.vt[len(s):]
         scale = float(np.linalg.norm(x0)) / 10.0
         for i in range(cfg.multistart):
             x = x0 + null_basis.T @ rng.normal(size=null_basis.shape[0]) * scale

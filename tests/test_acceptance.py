@@ -52,17 +52,10 @@ RECOVERY_TOL = 1e-6  # criterion 4's exact-recovery tolerance
 
 def rank_counts(ell_max, z_list):
     basis = ModeBasis.symmetric_span(ell_max)
-    geometry = ScanGeometry.default(max(z_list))
-    full = build_measurement_map(basis, geometry)
-    rows = geometry.n_pixels
+    planes = ScanGeometry.default(max(z_list)).planes
     out = {}
     for z in z_list:
-        sub = MeasurementMap(
-            basis,
-            ScanGeometry(19, 3.0, geometry.planes[:z]),
-            full.matrix[: z * rows],
-        )
-        out[z] = independent_detections(sub)
+        out[z] = independent_detections(MeasurementMap(basis, ScanGeometry(19, 3.0, planes[:z])))
     return out
 
 

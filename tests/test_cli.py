@@ -355,6 +355,49 @@ def test_cli_validate_good_and_bad_scan(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+MALFORMED_FILES = {
+    "state file not JSON": ("simulate", lambda p: p.write_text("{not json"), "not valid JSON", EXIT_DATA),
+    "state over another basis": (
+        "simulate",
+        lambda p: write_state_json(p, random_state(ModeBasis.symmetric_span(2), 1, seed=0)),
+        "state file is over modes",
+        EXIT_DATA,
+    ),
+    "state modes out of order": (
+        "simulate",
+        lambda p: p.write_text('{"ells": [1, 0], "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'),
+        "sorted ascending",
+        EXIT_DATA,
+    ),
+    "scan not UTF-8": (
+        "reconstruct",
+        lambda p: p.write_bytes(b"plane_index,zeta,px,py,value\n0,0.0,0,0,\xff\n"),
+        "not UTF-8",
+        EXIT_DATA,
+    ),
+    "scan file a directory": ("reconstruct", lambda p: p.mkdir(), "regular file", EXIT_SPEC),
+    "scan plane repeated": (
+        "reconstruct",
+        lambda p: p.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0,1.0\n1,0.0,0,0,1.0\n"),
+        "line 3: inconsistent plane",
+        EXIT_DATA,
+    ),
+}
+
+
+@pytest.mark.parametrize("command, write, message, code", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+def test_cli_malformed_data_file_exits_2_or_3(tmp_path, capsys, command, write, message, code):
+    path = tmp_path / "data"
+    write(path)
+    args = [command, "--out", str(tmp_path / "out"), "--set", "basis.ell_max=1"]
+    if command == "simulate":
+        args += ["--set", "state.kind=file", "--set", f'state.path="{path}"']
+    else:
+        args += ["--set", f'scan_file="{path}"']
+    assert main(args) == code
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("defect", ["repeats pixel", "non-finite value", "negative value"])
 def test_cli_reconstruct_rejects_bad_scan_rows_exit_3(tmp_path, capsys, defect):
     geom = ScanGeometry(5, 3.0, (0.0,))

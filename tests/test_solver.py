@@ -75,10 +75,14 @@ def test_scan_map_mismatch_rejected():
     _, mmap, _, _ = ic_setup(d=3)
     other = ScanGeometry(n_pixels_per_side=5, extent=3.0, planes=(1.0,))
     scan = IntensityScan(other, np.zeros(25))
-    with pytest.raises(ValueError, match="does not match"):
-        reconstruct_positive(mmap, scan)
-    with pytest.raises(ValueError, match="does not match"):
-        reconstruct_pseudoinverse(mmap, scan)
+    # as many pixel values as the map has rows, but seen at another plane
+    elsewhere = replace(mmap.geometry, planes=(2.0,))
+    same_length = IntensityScan(elsewhere, np.zeros(mmap.matrix.shape[0]))
+    for bad in (scan, same_length):
+        with pytest.raises(ValueError, match="does not match"):
+            reconstruct_positive(mmap, bad)
+        with pytest.raises(ValueError, match="does not match"):
+            reconstruct_pseudoinverse(mmap, bad)
 
 
 # ------------------------------------------------------- positive estimator
@@ -151,7 +155,8 @@ def test_jacobian_matches_direction_stack(n_planes, width):
     basis = ModeBasis.symmetric_span(7)
     d = basis.dim
     mmap = build_measurement_map(basis, ScanGeometry.default(n_planes))
-    W = _least_squares_model(mmap, np.zeros(mmap.matrix.shape[0]))[0]
+    s, vt, _, _ = _least_squares_model(mmap, np.zeros(mmap.matrix.shape[0]))
+    W = s[:, None] * vt
     k = 1 if width == "one" else d
     rng = np.random.default_rng(n_planes)
     L = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
