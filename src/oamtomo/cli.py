@@ -84,11 +84,11 @@ def main(argv: list[str] | None = None) -> int:
     kind = _SUBCOMMANDS[args.command]
     try:
         if args.spec:
-            with open(args.spec) as fh:
-                try:
+            try:
+                with open(args.spec, encoding="utf-8") as fh:
                     obj = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise SpecValidationError([f"spec file is not valid JSON: {exc}"]) from exc
+            except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise SpecValidationError([f"spec file is not valid JSON: {exc}"]) from exc
         else:
             obj = {}
         for assignment in args.overrides:

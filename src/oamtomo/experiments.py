@@ -12,8 +12,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, NamedTuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -78,6 +78,9 @@ class SpecValidationError(ValueError):
         self.problems = problems
         super().__init__("invalid experiment spec:\n  " + "\n  ".join(problems))
 
+    def __reduce__(self):  # so a sweep worker's error reaches the parent whole
+        return type(self), (self.problems,)
+
 
 class NonConvergenceError(RuntimeError):
     """Raised in strict mode when a reconstruction fails to converge."""
@@ -89,39 +92,96 @@ def derive_seed(master: int, *indices: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _listed(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item, v))
+
+
+def _spec_field(path: str, default, ok: Callable[[Any], bool], must: str, convert=lambda v: v):
+    """A field set by the JSON value at dotted ``path``: a value passing ``ok``
+    is stored as ``convert(value)``, any other is reported as not ``must``."""
+    return field(default=default, metadata={"path": path, "ok": ok, "must": must, "convert": convert})
+
+
+def _integer(path: str, default, low: int, many: bool = False):
+    """An integer of at least ``low`` (0 or 1), or with ``many`` a non-empty list of them."""
+    sign = ("nonnegative", "positive")[low]
+    ok = lambda v: _real(v) and v == int(v) and v >= low  # noqa: E731
+    if many:
+        must = f"{sign} integers in a non-empty list"
+        return _spec_field(path, default, lambda v: _listed(v, ok), must, lambda v: tuple(map(int, v)))
+    return _spec_field(path, default, ok, f"a {sign} integer", int)
+
+
+def _positive(path: str, default):
+    return _spec_field(path, default, lambda v: _real(v) and v > 0, "a positive finite number", float)
+
+
+def _choice(path: str, default, options: tuple[str, ...]):
+    return _spec_field(path, default, lambda v: v in options, f"one of {options}")
+
+
+def _path(path: str):
+    return _spec_field(path, None, lambda v: isinstance(v, str) and v != "", "a non-empty string")
+
+
+def _planes(path: str, default):
+    ok = lambda v: _listed(v, _real) and len(set(v)) == len(v)  # noqa: E731
+    must = "a non-empty list of distinct finite positions"
+    return _spec_field(path, default, ok, must, lambda v: tuple(map(float, v)))
+
+
 @dataclass
 class ExperimentSpec:
-    """Validated view of the JSON experiment description."""
+    """Validated view of the JSON experiment description. Each field a spec
+    sets declares its dotted JSON path, default and check; ``solver`` is set
+    from the ``solver`` block, ``threads`` and ``strict`` only by the caller."""
 
-    kind: str
-    basis_kind: str = "symmetric"  # "symmetric" (ell_max) or "nonnegative" (d)
-    ell_max: int = 7
-    d: int = 5
-    n_pixels_per_side: int = 19
-    extent: float = 3.0
-    planes: tuple[float, ...] | None = None  # explicit list beats n_planes
-    n_planes: int = 2
-    z_max: int = 10
-    z_values: tuple[int, ...] = (1, 2, 3)
-    ranks: tuple[int, ...] = (1, 2, 4, 8, 15)
-    ell_max_values: tuple[int, ...] | None = None  # dimension sweep axis
-    trials: int = 50
-    n_states: int = 20
-    branches: tuple[str, ...] = BRANCHES
-    state_kind: str = "random"  # "random" (Ginibre), "test" (probe family) or "file"
-    state_rank: int = 1
-    state_p: float | None = None  # probe-state parameters: both, or neither to draw them per seed
-    state_theta: float | None = None
-    state_path: str | None = None
-    noise_kind: str = "none"  # or "poisson"
-    photon_budget: float | None = None
+    kind: str = _choice("kind", MISSING, KINDS)
+    basis_kind: str = _choice("basis.kind", "symmetric", ("symmetric", "nonnegative"))  # ell_max or d
+    ell_max: int = _integer("basis.ell_max", 7, 0)
+    d: int = _integer("basis.d", 5, 1)
+    n_pixels_per_side: int = _integer("geometry.n_pixels_per_side", 19, 1)
+    extent: float = _positive("geometry.extent", 3.0)
+    planes: tuple[float, ...] | None = _planes("geometry.planes", None)  # explicit list beats n_planes
+    n_planes: int = _integer("geometry.n_planes", 2, 1)
+    z_max: int = _integer("z_max", 10, 1)
+    z_values: tuple[int, ...] = _integer("z_values", (1, 2, 3), 1, many=True)
+    ranks: tuple[int, ...] = _integer("ranks", (1, 2, 4, 8, 15), 1, many=True)
+    # the dimension axis of an error sweep
+    ell_max_values: tuple[int, ...] | None = _integer("ell_max_values", None, 0, many=True)
+    trials: int = _integer("trials", 50, 1)
+    n_states: int = _integer("n_states", 20, 1)
+    branches: tuple[str, ...] = _spec_field(
+        "branches",
+        BRANCHES,
+        lambda v: _listed(v, lambda b: b in BRANCHES),
+        f"a non-empty list of estimator branches from {BRANCHES}",
+        tuple,
+    )
+    # "random" (Ginibre), "test" (probe family) or "file"
+    state_kind: str = _choice("state.kind", "random", ("random", "test", "file"))
+    state_rank: int = _integer("state.rank", 1, 1)
+    # probe-state parameters: both, or neither to draw them per seed
+    state_p: float | None = _spec_field(
+        "state.p", None, lambda v: _real(v) and 0 <= v <= 1, "a number from 0 to 1", float
+    )
+    state_theta: float | None = _spec_field("state.theta", None, _real, "a finite number", float)
+    state_path: str | None = _path("state.path")
+    noise_kind: str = _choice("noise.kind", "none", ("none", "poisson"))
+    photon_budget: float | None = _positive("noise.photon_budget", None)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    seed: int = 0
-    output: str | None = None
-    scan_file: str | None = None
-    state_file: str | None = None
-    predict_planes: tuple[float, ...] = (0.0, 1 / 3, 1 / 2, 1.0)
-    compute_entropy: bool = False
+    seed: int = _integer("seed", 0, 0)
+    output: str | None = _path("output")
+    scan_file: str | None = _path("scan_file")
+    state_file: str | None = _path("state_file")
+    predict_planes: tuple[float, ...] = _planes("predict_planes", (0.0, 1 / 3, 1 / 2, 1.0))
+    compute_entropy: bool = _spec_field(
+        "compute_entropy", False, lambda v: isinstance(v, bool), "true or false"
+    )
     threads: int = 1
     strict: bool = False
 
@@ -137,131 +197,50 @@ class ExperimentSpec:
         return ScanGeometry(self.n_pixels_per_side, self.extent, planes)
 
 
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _listed(v, item) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item, v))
-
-
-class _Field(NamedTuple):
-    """One spec field: the ExperimentSpec attribute it sets (``solver.x``
-    sets field x of the SolverConfig), a test of its value, what the value
-    must be, for the diagnostic, and the conversion of an accepted value."""
-
-    attr: str
-    ok: Callable[[Any], bool]
-    must: str
-    convert: Callable[[Any], Any] = lambda v: v
-
-
-def _integer(attr: str, low: int, many: bool = False) -> _Field:
-    """An integer of at least ``low`` (0 or 1), or with ``many`` a non-empty list of them."""
-    sign = ("nonnegative", "positive")[low]
-    ok = lambda v: _real(v) and v == int(v) and v >= low  # noqa: E731
-    if many:
-        must = f"{sign} integers in a non-empty list"
-        return _Field(attr, lambda v: _listed(v, ok), must, lambda v: tuple(map(int, v)))
-    return _Field(attr, ok, f"a {sign} integer", int)
-
-
-def _positive(attr: str) -> _Field:
-    return _Field(attr, lambda v: _real(v) and v > 0, "a positive finite number", float)
-
-
-def _choice(attr: str, options: tuple[str, ...]) -> _Field:
-    return _Field(attr, lambda v: v in options, f"one of {options}")
-
-
-def _path(attr: str) -> _Field:
-    return _Field(attr, lambda v: isinstance(v, str) and v != "", "a non-empty string")
-
-
-def _planes(attr: str) -> _Field:
-    ok = lambda v: _listed(v, _real) and len(set(v)) == len(v)  # noqa: E731
-    must = "a non-empty list of distinct finite positions"
-    return _Field(attr, ok, must, lambda v: tuple(map(float, v)))
-
-
-# every accepted spec field, by dotted path
-_FIELDS = {
-    "kind": _choice("kind", KINDS),
-    "basis.kind": _choice("basis_kind", ("symmetric", "nonnegative")),
-    "basis.ell_max": _integer("ell_max", 0),
-    "basis.d": _integer("d", 1),
-    "geometry.n_pixels_per_side": _integer("n_pixels_per_side", 1),
-    "geometry.extent": _positive("extent"),
-    "geometry.n_planes": _integer("n_planes", 1),
-    "geometry.planes": _planes("planes"),
-    "z_max": _integer("z_max", 1),
-    "z_values": _integer("z_values", 1, many=True),
-    "ranks": _integer("ranks", 1, many=True),
-    "ell_max_values": _integer("ell_max_values", 0, many=True),
-    "trials": _integer("trials", 1),
-    "n_states": _integer("n_states", 1),
-    "branches": _Field(
-        "branches",
-        lambda v: _listed(v, lambda b: b in BRANCHES),
-        f"a non-empty list of estimator branches from {BRANCHES}",
-        tuple,
-    ),
-    "state.kind": _choice("state_kind", ("random", "test", "file")),
-    "state.rank": _integer("state_rank", 1),
-    "state.p": _Field("state_p", lambda v: _real(v) and 0 <= v <= 1, "a number from 0 to 1", float),
-    "state.theta": _Field("state_theta", _real, "a finite number", float),
-    "state.path": _path("state_path"),
-    "noise.kind": _choice("noise_kind", ("none", "poisson")),
-    "noise.photon_budget": _positive("photon_budget"),
-    "solver.max_iterations": _integer("solver.max_iterations", 1),
-    "solver.rel_tolerance": _positive("solver.rel_tolerance"),
-    "solver.multistart": _integer("solver.multistart", 1),
-    "solver.seed": _integer("solver.seed", 0),
-    "seed": _integer("seed", 0),
-    "output": _path("output"),
-    "scan_file": _path("scan_file"),
-    "state_file": _path("state_file"),
-    "predict_planes": _planes("predict_planes"),
-    "compute_entropy": _Field("compute_entropy", lambda v: isinstance(v, bool), "true or false"),
+# the solver block sets these SolverConfig fields, which SolverConfig checks again for library callers
+_SOLVER_FIELDS = {
+    "max_iterations": _integer("solver.max_iterations", None, 1),
+    "rel_tolerance": _positive("solver.rel_tolerance", None),
+    "multistart": _integer("solver.multistart", None, 1),
+    "seed": _integer("solver.seed", None, 0),
 }
-_BLOCKS = {path.split(".")[0] for path in _FIELDS if "." in path}
+# every accepted spec field by dotted path: the attribute it sets ("solver.x": SolverConfig.x), its check
+_PATHS = {f.metadata["path"]: (f.name, f.metadata) for f in fields(ExperimentSpec) if f.metadata}
+_PATHS |= {f.metadata["path"]: ("solver." + name, f.metadata) for name, f in _SOLVER_FIELDS.items()}
+_BLOCKS = {path.split(".")[0] for path in _PATHS if "." in path}
 
 
-def _flatten(obj: dict, problems: list[str], prefix: str = "") -> dict[str, Any]:
-    """{dotted path: value} of a spec object; a key that names no field, or
-    a block that is not an object, is noted in problems and dropped."""
-    flat = {}
+def _check_fields(obj: dict, values: dict, problems: list[str], prefix: str = "") -> None:
+    """Check each field of a spec object as its declaration says, into values
+    ({attribute: value}); a key that names no field, a block that is not an
+    object and a value that fails its check are noted in problems."""
     for key, value in obj.items():
         path = f"{prefix}{key}"
+        attr, check = _PATHS.get(path, (None, None))
         if path in _BLOCKS and isinstance(value, dict):
-            flat.update(_flatten(value, problems, path + "."))
+            _check_fields(value, values, problems, path + ".")
         elif path in _BLOCKS:
             problems.append(f"{path} must be an object, got {value!r}")
-        elif path in _FIELDS:
-            flat[path] = value
-        else:
+        elif check is None:
             problems.append(f"unknown field {path!r}")
-    return flat
+        elif check["ok"](value):
+            values[attr] = check["convert"](value)
+        else:
+            problems.append(f"{path} must be {check['must']}, got {value!r}")
 
 
 def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     """Validate a JSON spec dict, collecting all diagnostics before raising.
 
-    Each field is checked by its row of the field table; what follows the
-    table are the rules that tie fields together. ``kind``, when given, is
+    Each field is checked as its ExperimentSpec declaration says; what
+    follows are the rules that tie fields together. ``kind``, when given, is
     the kind of the run, and a spec that names another kind is rejected.
     """
     if not isinstance(obj, dict):
         raise SpecValidationError(["spec must be a JSON object"])
     problems: list[str] = []
-    flat = {"kind": kind, **_flatten(obj, problems)}
-    values = {}
-    for path, value in flat.items():
-        row = _FIELDS[path]
-        if row.ok(value):
-            values[row.attr] = row.convert(value)
-        else:
-            problems.append(f"{path} must be {row.must}, got {value!r}")
+    values: dict[str, Any] = {}
+    _check_fields({"kind": kind, **obj}, values, problems)
     if "kind" not in values:
         raise SpecValidationError(problems)
     if kind is not None and values["kind"] != kind:
@@ -284,6 +263,10 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
         problems.append(f"state.kind 'test' needs both state.p and state.theta; {missing} is missing")
     if spec.noise_kind == "poisson" and spec.photon_budget is None:
         problems.append("noise.photon_budget is required for poisson noise")
+    entropy = spec.kind == "entropy_sweep" or (spec.kind == "reconstruct" and spec.compute_entropy)
+    if entropy and spec.solver.multistart < 2:
+        n = spec.solver.multistart
+        problems.append(f"solver.multistart must be at least 2 for the uniqueness entropy, got {n}")
     if spec.kind == "reconstruct" and not spec.scan_file:
         problems.append("reconstruct requires scan_file")
     if spec.kind == "validate" and not (spec.scan_file or spec.state_file):
@@ -314,6 +297,14 @@ def _make_state(spec: ExperimentSpec, basis: ModeBasis, rank: int, seed: int) ->
     return rho
 
 
+def _simulate(spec: ExperimentSpec, rho: DensityMatrix, mmap: MeasurementMap, seed: int) -> IntensityScan:
+    """The run's scan of rho; a geometry that Poisson noise cannot draw from is a spec error."""
+    try:
+        return simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
+    except ValueError as exc:
+        raise SpecValidationError([f"noise.kind {spec.noise_kind!r}: {exc}"]) from exc
+
+
 def _map_cells(spec: ExperimentSpec, cell_fn, cells: list) -> list:
     """cell_fn over the cells, in order; in a process pool when spec.threads > 1."""
     if spec.threads > 1:
@@ -342,7 +333,7 @@ def _error_cell(args) -> tuple[tuple[int, int, int], list[float], list[float]]:
     for trial in range(spec.trials):
         seed = derive_seed(spec.seed, ell_max, z, rank, trial)
         rho = _make_state(spec, basis, rank, seed)
-        scan = simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
+        scan = _simulate(spec, rho, mmap, seed)
         rep_pos = reconstruct_positive(mmap, scan, spec.solver)
         if spec.strict and not rep_pos.converged:
             raise NonConvergenceError(
@@ -396,7 +387,7 @@ def entropy_cell_inputs(
     for j in range(spec.n_states):
         seed = derive_seed(spec.seed, z, j)
         rho = _make_state(spec, basis, rank=2, seed=seed)
-        scan = simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
+        scan = _simulate(spec, rho, mmap, seed)
         inputs.append((scan, replace(spec.solver, seed=derive_seed(spec.seed, z, j, 1))))
     return mmap, inputs
 
@@ -439,7 +430,7 @@ def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
     result = report_to_json_dict(rep)
     result["metadata"]["independent_detections"] = n_det
     result["metadata"]["informationally_complete"] = bool(n_det >= basis.dim**2)
-    if spec.compute_entropy and spec.solver.multistart >= 2:
+    if spec.compute_entropy:
         result["uniqueness_entropy"] = uniqueness_entropy(mmap, scan, spec.solver)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -463,7 +454,7 @@ def run_simulate(spec: ExperimentSpec, out_dir: str = ".") -> str:
     mmap = build_measurement_map(basis, spec.geometry())
     seed = derive_seed(spec.seed, 0)
     rho = _make_state(spec, basis, rank=spec.state_rank, seed=seed)
-    scan = simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
+    scan = _simulate(spec, rho, mmap, seed)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, spec.output or "scan.csv")
     write_scan_csv(path, scan)

@@ -300,7 +300,8 @@ def simulate_scan(
     """Forward-simulate a scan; optional Poisson shot noise.
 
     Poisson mode scales the noiseless pattern so its total equals
-    ``photon_budget`` expected counts, draws, and scales back.
+    ``photon_budget`` expected counts, draws, and scales back; a scan that
+    receives no light has no such scale and raises ValueError.
     """
     p = mmap.apply(rho)
     p = np.clip(p, 0.0, None)
@@ -309,7 +310,10 @@ def simulate_scan(
     if noise == "poisson":
         if photon_budget is None or photon_budget <= 0:
             raise ValueError("poisson noise requires a positive photon budget")
-        scale = photon_budget / p.sum()
+        total = float(p.sum())
+        scale = photon_budget / total if total > 0 else math.inf
+        if math.isinf(scale):
+            raise ValueError(f"the scan receives no light: its intensities sum to {total:g}")
         counts = np.random.default_rng(seed).poisson(p * scale)
         return IntensityScan(mmap.geometry, counts / scale)
     raise ValueError(f"unknown noise model {noise!r}")

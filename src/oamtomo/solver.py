@@ -85,11 +85,6 @@ class ReconstructionReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _check_compatible(mmap: MeasurementMap, scan: IntensityScan) -> None:
-    if scan.geometry != mmap.geometry:
-        raise ValueError(f"scan geometry {scan.geometry} does not match the map's {mmap.geometry}")
-
-
 def _finalize(mmap: MeasurementMap, raw: np.ndarray) -> tuple[DensityMatrix, dict]:
     """Trace-normalize a Hermitian estimate for reporting."""
     tr = np.trace(raw).real
@@ -106,23 +101,27 @@ def _finalize(mmap: MeasurementMap, raw: np.ndarray) -> tuple[DensityMatrix, dic
     return DensityMatrix(mmap.basis, est), meta
 
 
-def _least_squares_model(mmap: MeasurementMap, p: np.ndarray):
-    """Thin-SVD form of 0.5 ||A x - p||^2 = 0.5 ||W x - b||^2 + f_res.
+def _least_squares_model(mmap: MeasurementMap, scan: IntensityScan):
+    """Thin-SVD form of 0.5 ||A x - p||^2 = 0.5 ||W x - b||^2 + f_res for the
+    scan's values p, after checking that the scan has the map's geometry.
 
-    Returns (s, vt, b, f_res): the singular values of A above
+    Returns (s, vt, b, f_res, x): the singular values of A above
     SVD_RCOND * s_max, their rows vt of V^T, b = U^T p on those singular
-    vectors, and the part f_res of the data no x can fit. Then
-    W = diag(s) vt, and A^+ p = vt^T (b / s) is the pseudoinverse solution.
+    vectors, the part f_res of the data no x can fit, and the pseudoinverse
+    solution x = A^+ p = vt^T (b / s). Then W = diag(s) vt.
     Evaluating the objective and its gradient W^T (W x - b) this way avoids
     the cancellation of the expanded quadratic, so residuals far below
     sqrt(eps) * ||p|| are still resolved. The factors are the map's own,
     and b and f_res come from one :meth:`MeasurementMap.project`, which
     never forms the m-row U.
     """
+    if scan.geometry != mmap.geometry:
+        raise ValueError(f"scan geometry {scan.geometry} does not match the map's {mmap.geometry}")
     _, _, s, vt = mmap.svd
     rank = int(np.sum(s > SVD_RCOND * s[0]))
-    b, f_res = mmap.project(p, rank)
-    return s[:rank], vt[:rank], b, f_res
+    b, f_res = mmap.project(scan.values, rank)
+    s, vt = s[:rank], vt[:rank]
+    return s, vt, b, f_res, vt.T @ (b / s)
 
 
 def _jacobian(M: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -180,14 +179,12 @@ def reconstruct_positive(
     both certificate values, ``stop_reason`` ("certified", "max_iterations"
     or "stalled"), the number of steps and the final factor width.
     """
-    _check_compatible(mmap, scan)
-    p = scan.values
     d = mmap.basis.dim
-    s, vt, b, f_res = _least_squares_model(mmap, p)
+    s, vt, b, f_res, x = _least_squares_model(mmap, scan)
     W = s[:, None] * vt
     if W.shape[0] == 0:
         raise ValueError("measurement map is identically zero")
-    scale = float(np.linalg.norm(mmap.matrix.T @ p)) or 1.0
+    scale = float(np.linalg.norm(mmap.matrix.T @ scan.values)) or 1.0
     tol = cfg.rel_tolerance
 
     def state(L):
@@ -223,7 +220,7 @@ def reconstruct_positive(
             mu *= LM_RAISE
         return None
 
-    X0 = _to_hermitian(vt.T @ (b / s), d) if initial is None else initial.entries
+    X0 = _to_hermitian(x, d) if initial is None else initial.entries
     w, V = np.linalg.eigh(X0)
     k = max(1, int(np.sum(w > RANK_TOL * w[-1])))
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
@@ -307,13 +304,10 @@ def reconstruct_pseudoinverse(
     for metric comparison. The residual ||A x - p|| of the raw estimate is
     kept in the metadata.
     """
-    _check_compatible(mmap, scan)
-    p = scan.values
     d = mmap.basis.dim
-    s, vt, b, _ = _least_squares_model(mmap, p)
-    x = vt.T @ (b / s)
+    x = _least_squares_model(mmap, scan)[4]
     raw = coords_to_hermitian(x, d)
-    residual = float(np.linalg.norm(mmap.matrix @ x - p))
+    residual = float(np.linalg.norm(mmap.matrix @ x - scan.values))
     tr = np.trace(raw).real
     meta = {"raw_trace": float(tr), "raw_residual": residual}
     if abs(tr) < DEGENERATE_TRACE:
@@ -369,9 +363,7 @@ def multistart_estimates(
             rep = reconstruct_positive(mmap, scan, cfg, init)
             columns[:, i] = hermitian_to_coords(rep.estimate.entries)
     else:
-        _check_compatible(mmap, scan)
-        s, vt, b, _ = _least_squares_model(mmap, scan.values)
-        x0 = vt.T @ (b / s)
+        s, _, _, _, x0 = _least_squares_model(mmap, scan)
         null_basis = mmap.svd.vt[len(s):]
         scale = float(np.linalg.norm(x0)) / 10.0
         for i in range(cfg.multistart):

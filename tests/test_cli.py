@@ -1,4 +1,6 @@
 import json
+import pickle
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import oamtomo.experiments as experiments
 from oamtomo.cli import EXIT_DATA, EXIT_NONCONVERGED, EXIT_OK, EXIT_SPEC, main
 from oamtomo.experiments import (
+    ExperimentSpec,
     NonConvergenceError,
     SpecValidationError,
     derive_seed,
@@ -31,8 +34,10 @@ from oamtomo.sensor import (
     simulate_scan,
     write_scan_csv,
 )
+from oamtomo.solver import SolverConfig
 
 SMALL_GEOM = {"n_pixels_per_side": 9}
+DARK = ["geometry.n_pixels_per_side=2", "geometry.extent=100"]  # every pixel far outside the beams
 
 
 # -------------------------------------------------------------------- seeds
@@ -97,6 +102,37 @@ def test_parse_spec_missing_file_reported(tmp_path):
 def test_parse_spec_bad_solver_field():
     with pytest.raises(SpecValidationError, match="solver"):
         parse_spec({"kind": "error_sweep", "solver": {"step_rule": "newton"}})
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_every_spec_default_passes_its_own_check(kind):
+    """A spec that states every default explicitly parses as the bare kind does."""
+    rows = [(f.metadata["path"], f.default) for f in fields(ExperimentSpec) if f.metadata]
+    solver = SolverConfig()
+    rows += [(f.metadata["path"], getattr(solver, name)) for name, f in experiments._SOLVER_FIELDS.items()]
+    rows = [(path, default) for path, default in rows if default is not None and default is not MISSING]
+    assert len(rows) > 20
+    obj = {"kind": kind}
+    for path, default in rows:
+        *blocks, name = path.split(".")
+        target = obj
+        for block in blocks:
+            target = target.setdefault(block, {})
+        target[name] = list(default) if isinstance(default, tuple) else default
+
+    def outcome(spec):
+        try:
+            return parse_spec(spec)
+        except SpecValidationError as exc:
+            return exc.problems
+
+    assert outcome(obj) == outcome({"kind": kind})
+
+
+def test_spec_error_pickles_whole():
+    """A spec error raised in a sweep worker reaches the parent with its problems."""
+    exc = pickle.loads(pickle.dumps(SpecValidationError(["a", "b"])))
+    assert exc.problems == ["a", "b"] and str(exc) == str(SpecValidationError(["a", "b"]))
 
 
 # ----------------------------------------------------------------- harness
@@ -257,11 +293,21 @@ def test_cli_invalid_spec_exits_2(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
-def test_cli_unparsable_spec_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda p: p.write_text("{not json"), "Expecting property name"),
+        (lambda p: p.mkdir(), "Is a directory"),
+        (lambda p: p.write_bytes(b'{"kind": "simulate", "output": "\xff"}'), "can't decode byte 0xff"),
+    ],
+    ids=["not JSON", "a directory", "not UTF-8"],
+)
+def test_cli_unparsable_spec_exits_2(tmp_path, capsys, write, message):
     path = tmp_path / "spec.json"
-    path.write_text("{not json")
+    write(path)
     assert main(["simulate", "--spec", str(path)]) == EXIT_SPEC
-    assert "not valid JSON" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "spec file is not valid JSON" in err and message in err
 
 
 def test_cli_bad_set_exits_2(capsys):
@@ -300,6 +346,10 @@ def test_cli_bad_set_exits_2(capsys):
         ("simulate", ["state.kind=test", "state.theta=0.5"], "state.p is missing"),
         ("rank-analysis", ["kind=bogus"], "kind must be one of"),
         ("rank-analysis", ["kind=simulate"], "does not match the subcommand's kind"),
+        ("entropy-sweep", ["solver.multistart=1"], "solver.multistart must be at least 2"),
+        ("reconstruct", ["solver.multistart=1", "compute_entropy=true"], "solver.multistart must be at least 2"),
+        ("simulate", [*DARK, "noise.kind=poisson", "noise.photon_budget=1e6"], "receives no light"),
+        ("error-sweep", [*DARK, "noise.kind=poisson", "noise.photon_budget=1e6"], "receives no light"),
     ],
     ids=[
         "basis not an object",
@@ -330,6 +380,10 @@ def test_cli_bad_set_exits_2(capsys):
         "test-state angle without its weight",
         "unknown spec kind",
         "spec kind of another subcommand",
+        "entropy sweep with one start",
+        "reconstruct entropy with one start",
+        "poisson scan of a dark geometry",
+        "poisson sweep of a dark geometry",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):

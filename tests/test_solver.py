@@ -155,7 +155,8 @@ def test_jacobian_matches_direction_stack(n_planes, width):
     basis = ModeBasis.symmetric_span(7)
     d = basis.dim
     mmap = build_measurement_map(basis, ScanGeometry.default(n_planes))
-    s, vt, _, _ = _least_squares_model(mmap, np.zeros(mmap.matrix.shape[0]))
+    zeros = IntensityScan(mmap.geometry, np.zeros(mmap.matrix.shape[0]))
+    s, vt, _, _, _ = _least_squares_model(mmap, zeros)
     W = s[:, None] * vt
     k = 1 if width == "one" else d
     rng = np.random.default_rng(n_planes)
