@@ -261,6 +261,10 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     if spec.state_kind == "test" and (spec.state_p is None) != (spec.state_theta is None):
         missing = "state.theta" if spec.state_theta is None else "state.p"
         problems.append(f"state.kind 'test' needs both state.p and state.theta; {missing} is missing")
+    try:
+        ScanGeometry(spec.n_pixels_per_side, spec.extent)
+    except ValueError:
+        problems.append(f"geometry.extent must give a positive finite pixel area, got {spec.extent!r}")
     if spec.noise_kind == "poisson" and spec.photon_budget is None:
         problems.append("noise.photon_budget is required for poisson noise")
     entropy = spec.kind == "entropy_sweep" or (spec.kind == "reconstruct" and spec.compute_entropy)

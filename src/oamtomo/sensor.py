@@ -16,7 +16,9 @@ real matrix A acting on the Hermitian coordinates of states. The planes
 differ only through the Gouy phases, which enter a pair of modes a, b as
 e^{i (|l_a| - |l_b|) arctan(zeta)}: each plane's block is the Gouy-free
 block at the waist with every (Re, Im) coordinate pair turned by that
-angle (:func:`_turn`). The map is built and factored through this structure.
+angle (:func:`_turn`). The map is built and factored through this structure,
+and through the grid's quarter-turn symmetry, which splits the factorization
+into three classes of coordinates (:attr:`MeasurementMap.svd`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import DensityMatrix, ModeBasis, hermitian_to_coords
+from .qstate import DensityMatrix, ModeBasis, _triu, hermitian_to_coords
 
 __all__ = [
     "DEFAULT_PLANE_POOL",
@@ -76,8 +78,9 @@ class ScanGeometry:
     def __post_init__(self):
         if self.n_pixels_per_side < 1:
             raise ValueError(f"need at least one pixel per side, got {self.n_pixels_per_side}")
-        if not 0 < self.extent < math.inf:
-            raise ValueError(f"extent must be positive and finite, got {self.extent}")
+        step = 2.0 * float(self.extent) / self.n_pixels_per_side
+        if not (self.extent > 0 and 0 < step * step < math.inf):  # the pixel area, without ** overflowing
+            raise ValueError(f"extent must be positive with a positive finite pixel area, got {self.extent}")
         planes = tuple(float(z) for z in self.planes)
         if not planes:
             raise ValueError("need at least one plane")
@@ -115,7 +118,7 @@ class MapFactors(NamedTuple):
 
     A = blockdiag(q, ..., q) @ u @ diag(s) @ vt[:len(s)]: q has orthonormal
     columns spanning the first plane's block, u holds the left singular
-    vectors of the small stacked matrix, s is descending, and vt is square
+    vectors of the small stack [q^T A_j]_j, s is descending, and vt is square
     (d^2 x d^2), so its rows past the numerical rank span the null space of A.
     """
 
@@ -153,27 +156,52 @@ class MeasurementMap:
         """A as a (planes, pixels, d^2) view."""
         return self.matrix.reshape(self.geometry.n_planes, self.geometry.n_pixels, -1)
 
-    def _angles(self) -> list[float]:
-        """Gouy angle of each plane relative to the first."""
-        first = math.atan(self.geometry.planes[0])
-        return [math.atan(zeta) - first for zeta in self.geometry.planes]
-
     def apply(self, rho: DensityMatrix) -> np.ndarray:
         return self.matrix @ hermitian_to_coords(rho.entries)
 
     @functools.cached_property
     def svd(self) -> MapFactors:
-        """Read-only factors of A without decomposing A itself.
+        """Read-only factors of A, one frequency class at a time.
 
-        With the thin QR of the first block, A_0 = Q T, every block is
-        A_j = Q T R(zeta_0)^T R(zeta_j), so A = blockdiag(Q, ..., Q) M for the
-        small stack M = [T R(zeta_0)^T R(zeta_j)]_j, and the SVD of M gives
-        u, s and vt.
+        Over the grid's quarter-turn orbits, the first block's rows of each
+        class see only that class's coordinates: B_c = Q_c T_c by a thin QR,
+        q holds each Q_c put back on the orbit pixels, and the SVD of the stack
+        [T_c R(zeta_0)^T R(zeta_j)]_j gives the class's share of u, s and vt.
+        The shares are merged by descending s; null rows of vt follow them.
         """
-        n = self.matrix.shape[1]
-        q, t = np.linalg.qr(self._blocks()[0])
-        stack = np.vstack([_turn(t, self.basis, angle) for angle in self._angles()])
-        factors = MapFactors(q, *np.linalg.svd(stack, full_matrices=stack.shape[0] < n))
+        n, first, d2 = self.geometry.n_pixels_per_side, self._blocks()[0], self.matrix.shape[1]
+        grid = np.arange(n * n).reshape(n, n)  # np.rot90(grid, k)[iy, ix] is pixel R^k (iy, ix)
+        orbits = np.array([np.rot90(grid, k)[: n // 2, : (n + 1) // 2].ravel() for k in range(4)])
+        ells, (iu, ju) = np.array(self.basis.ells), _triu(self.basis.dim)
+        m = np.concatenate([np.zeros(self.basis.dim, int), np.repeat(ells[iu] - ells[ju], 2)]) % 4
+        classes = [np.flatnonzero(m == 0), np.flatnonzero(m == 2), np.flatnonzero(m % 2)]
+        alone = ([n * n // 2] * (n % 2), [], [])  # the centre pixel of an odd grid, in class 0
+        classes = [c for c in zip(classes, np.split(_ORBIT_ROWS, [1, 2]), alone) if len(c[0])]
+        widths = [min(len(w) * orbits.shape[1] + len(pixel), len(cols)) for cols, w, pixel in classes]
+        angles = [math.atan(zeta) - math.atan(self.geometry.planes[0]) for zeta in self.geometry.planes]
+        turns = [_turn(np.eye(d2), self.basis, angle) for angle in angles]  # R(zeta_0)^T R(zeta_j)
+        ranks = [min(len(turns) * k, len(cols)) for (cols, _, _), k in zip(classes, widths)]
+        q, u = np.zeros((n * n, sum(widths))), np.zeros((len(turns), sum(widths), sum(ranks)))
+        s, vt = np.zeros(sum(ranks)), np.zeros((d2, d2))
+        col, row, null = 0, 0, sum(ranks)  # the class's first column of q, ranked row and null row of vt
+        for (cols, w, pixel), k, rank in zip(classes, widths, ranks):
+            block = first[np.ix_(orbits.ravel(), cols)].reshape(orbits.shape + (len(cols),))
+            block = np.tensordot(w, block, 1).reshape(-1, len(cols))
+            block = np.vstack([block, first[np.ix_(pixel, cols)]])
+            qc, tc = np.linalg.qr(block)
+            del block  # each copy of B_c is dropped once the next exists, for a low peak memory
+            on_orbits = qc[: len(qc) - len(pixel)].reshape(len(w), orbits.shape[1], k)
+            q[orbits, col : col + k] = np.tensordot(w.T, on_orbits, 1)
+            q[pixel, col : col + k] = qc[len(qc) - len(pixel) :]
+            stack = np.vstack([tc @ turn[np.ix_(cols, cols)] for turn in turns])
+            uc, s[row : row + rank], vc = np.linalg.svd(stack, full_matrices=len(stack) < len(cols))
+            u[:, col : col + k, row : row + rank] = uc.reshape(len(turns), k, rank)
+            vt[row : row + rank, cols] = vc[:rank]
+            vt[null : null + len(cols) - rank, cols] = vc[rank:]
+            col, row, null = col + k, row + rank, null + len(cols) - rank
+        order = np.argsort(-s, kind="stable")
+        vt[: len(s)] = vt[order]
+        factors = MapFactors(q, u.reshape(-1, len(s))[:, order], s[order], vt)
         for f in factors:
             f.setflags(write=False)
         return factors
@@ -234,7 +262,7 @@ def _turn(x: np.ndarray, basis: ModeBasis, angle: float, out: np.ndarray | None 
     """
     d = basis.dim
     ells = np.abs(basis.ells)
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _triu(d)
     x = np.ascontiguousarray(x)
     if out is None:
         out = np.empty_like(x)
@@ -242,6 +270,14 @@ def _turn(x: np.ndarray, basis: ModeBasis, angle: float, out: np.ndarray | None 
     turn = np.exp(1j * (ells[iu] - ells[ju]) * angle)
     np.multiply(x[..., d:].view(complex), turn, out=out[..., d:].view(complex))
     return out
+
+
+# Orthonormal rows over the values (f(x), f(Rx), f(R^2 x), f(R^3 x)) of a pixel
+# functional f on a quarter-turn orbit. For a coordinate of frequency m,
+# f(R^2 x) = (-1)^m f(x), and f(Rx) = i^m f(x) if m is even, so f is orthogonal
+# to all rows but row 0 if m = 0 (mod 4), row 1 if m = 2 (mod 4), rows 2-3 if odd.
+_ORBIT_ROWS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 0, -1, 0], [0, 1, 0, -1]])
+_ORBIT_ROWS = _ORBIT_ROWS / np.linalg.norm(_ORBIT_ROWS, axis=1, keepdims=True)
 
 
 def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry) -> np.ndarray:
@@ -261,7 +297,7 @@ def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry) -> np.ndarray:
     env = np.exp(-2.0 * rr * rr) * geometry.pixel_area
     amp = np.array([_norm(l) for l in ells]) * rr[:, None] ** np.abs(ells)
     g = amp * np.exp(-1j * phi[:, None] * ells)
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = _triu(d)
     block = np.empty((rr.size, d * d))
     block[:, :d] = env[:, None] * amp**2
     pairs = block[:, d:].view(complex)  # (Re, Im) side by side
@@ -279,8 +315,8 @@ def independent_detections(mmap: MeasurementMap) -> int:
     """Numerical rank of A: the map's singular values above DETECTION_TOL * sigma_max.
 
     With the first block A_0 = Q T, this is n_Z = rank [T R(zeta_1); ...;
-    T R(zeta_Z)] (rotations relative to the first plane), the matrix whose
-    SVD :attr:`MeasurementMap.svd` takes. Every R fixes the diagonal
+    T R(zeta_Z)] (rotations relative to the first plane), whose SVD
+    :attr:`MeasurementMap.svd` takes class by class. Every R fixes the diagonal
     coordinates and the (l, -l) pairs, where |l_a| = |l_b|, and on that
     subspace all planes see the same Gouy-free block. So no added plane can
     see the null directions H_l = |l><l| - |-l><-l| that one plane misses:

@@ -126,7 +126,7 @@ def _least_squares_model(mmap: MeasurementMap, scan: IntensityScan):
 
 def _jacobian(M: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Jacobian in (Re L, Im L) of Tr(M_i L L^dag): rows 2 [Re M_i L | Im M_i L]."""
-    G = (M @ L).reshape(M.shape[0], -1)
+    G = (M.reshape(-1, L.shape[0]) @ L).reshape(M.shape[0], -1)  # one GEMM, not a batch of small ones
     return 2.0 * np.concatenate([G.real, G.imag], axis=1)
 
 

@@ -38,6 +38,7 @@ from oamtomo.solver import SolverConfig
 
 SMALL_GEOM = {"n_pixels_per_side": 9}
 DARK = ["geometry.n_pixels_per_side=2", "geometry.extent=100"]  # every pixel far outside the beams
+TINY = ["basis.ell_max=1", "geometry.n_pixels_per_side=3"]
 
 
 # -------------------------------------------------------------------- seeds
@@ -350,6 +351,8 @@ def test_cli_bad_set_exits_2(capsys):
         ("reconstruct", ["solver.multistart=1", "compute_entropy=true"], "solver.multistart must be at least 2"),
         ("simulate", [*DARK, "noise.kind=poisson", "noise.photon_budget=1e6"], "receives no light"),
         ("error-sweep", [*DARK, "noise.kind=poisson", "noise.photon_budget=1e6"], "receives no light"),
+        ("simulate", [*TINY, "geometry.extent=1e300"], "positive finite pixel area, got 1e+300"),
+        ("simulate", [*TINY, "geometry.extent=1e-300"], "positive finite pixel area, got 1e-300"),
     ],
     ids=[
         "basis not an object",
@@ -384,6 +387,8 @@ def test_cli_bad_set_exits_2(capsys):
         "reconstruct entropy with one start",
         "poisson scan of a dark geometry",
         "poisson sweep of a dark geometry",
+        "pixel area overflows",
+        "pixel area underflows",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):

@@ -56,6 +56,9 @@ def test_scan_geometry_validation():
         ScanGeometry(19, 3.0, (0.0, 0.0))
     with pytest.raises(ValueError):
         ScanGeometry(19, 3.0, ())
+    for extent in (1e300, 1e-300):  # a pixel area that overflows or underflows
+        with pytest.raises(ValueError, match="positive finite pixel area"):
+            ScanGeometry(3, extent, (0.0,))
 
 
 def test_pixel_centers_match_formula():
@@ -276,32 +279,36 @@ def _per_pair_block(basis, geometry, zeta):
     return block
 
 
+S = ModeBasis.symmetric_span
 FACTOR_CASES = {
-    "41x41 four planes l_max 4": (4, ScanGeometry.default(4, n_pixels_per_side=41)),
-    "d=15 Z=1": (7, ScanGeometry.default(1)),
-    "d=15 Z=2": (7, ScanGeometry.default(2)),
-    "d=15 Z=3": (7, ScanGeometry.default(3)),
-    "fewer pixels than d^2": (2, ScanGeometry(3, 3.0, (0.0, 1 / 3))),
-    "first plane off the waist": (4, ScanGeometry(19, 3.0, (1 / 3, 2.0))),
+    "41x41 four planes l_max 4": (S(4), ScanGeometry.default(4, n_pixels_per_side=41)),
+    "d=15 Z=1": (S(7), ScanGeometry.default(1)),
+    "d=15 Z=2": (S(7), ScanGeometry.default(2)),
+    "d=15 Z=3": (S(7), ScanGeometry.default(3)),
+    "fewer pixels than d^2": (S(2), ScanGeometry(3, 3.0, (0.0, 1 / 3))),
+    "first plane off the waist": (S(4), ScanGeometry(19, 3.0, (1 / 3, 2.0))),
+    "even grid, no centre pixel": (S(3), ScanGeometry(20, 3.0, (0.0, 1 / 3, 1 / 2))),
+    "one pixel": (S(2), ScanGeometry(1, 3.0, (0.0, 1 / 3))),
+    "2x2 grid": (S(2), ScanGeometry(2, 3.0, (0.0, 1 / 3))),
+    "nonnegative basis": (ModeBasis.nonnegative_span(6), ScanGeometry.default(2)),
+    "irregular basis": (ModeBasis((-5, -1, 2, 6)), ScanGeometry.default(3)),
 }
 
 
-@pytest.mark.parametrize("ell_max, geom", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
-def test_map_matches_per_pair_reference(ell_max, geom):
-    basis = ModeBasis.symmetric_span(ell_max)
+@pytest.mark.parametrize("basis, geom", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
+def test_map_matches_per_pair_reference(basis, geom):
     matrix = build_measurement_map(basis, geom).matrix
     reference = np.vstack([_per_pair_block(basis, geom, zeta) for zeta in geom.planes])
     assert np.max(np.abs(matrix - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("ell_max, geom", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
-def test_factorization_matches_dense_svd(ell_max, geom):
+@pytest.mark.parametrize("basis, geom", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
+def test_factorization_matches_dense_svd(basis, geom):
     """s, the rank, U_k^T p and the unfit part agree with a dense SVD of A.
 
     U_k is fixed only up to a rotation within each cluster of equal singular
     values, so U_k^T p is compared through the basis-free fitted part
     U_k U_k^T p and its norm."""
-    basis = ModeBasis.symmetric_span(ell_max)
     mmap = build_measurement_map(basis, geom)
     A = mmap.matrix
     u_dense, s_dense, _ = np.linalg.svd(A, full_matrices=False)
@@ -321,6 +328,36 @@ def test_factorization_matches_dense_svd(ell_max, geom):
     assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(b_dense), rel=1e-12)
     unfit_dense = 0.5 * float(np.sum((p - fitted_dense) ** 2))
     assert abs(unfit - unfit_dense) <= 1e-12 * 0.5 * float(p @ p)
+
+
+def _frequency_class(basis):
+    """Class of each Hermitian coordinate: its frequency l_a - l_b mod 4, with 3 counted as 1 (odd)."""
+    ells = basis.ells
+    m = [0] * len(ells)
+    for a in range(len(ells)):
+        for b in range(a + 1, len(ells)):
+            m += [ells[a] - ells[b]] * 2  # the (Re, Im) pair
+    return np.array([f % 4 if f % 2 == 0 else 1 for f in m])
+
+
+@pytest.mark.parametrize("basis, geom", FACTOR_CASES.values(), ids=FACTOR_CASES.keys())
+def test_map_factors_are_orthonormal_and_split_by_class(basis, geom):
+    """A = blockdiag(q, ..., q) u diag(s) vt[:len(s)] with orthonormal q and vt,
+    each row of vt on the coordinates of one frequency class, and the same
+    arrays, bit for bit, from a map built again."""
+    mmap = build_measurement_map(basis, geom)
+    q, u, s, vt = mmap.svd
+    small = ((u * s) @ vt[: len(s)]).reshape(geom.n_planes, q.shape[1], -1)
+    rebuilt = np.vstack([q @ block for block in small])
+    assert np.max(np.abs(rebuilt - mmap.matrix)) <= 1e-13 * np.max(np.abs(mmap.matrix))
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-13
+    assert np.max(np.abs(vt @ vt.T - np.eye(len(vt)))) <= 1e-13
+    assert np.all(np.diff(s) <= 0)
+    cls = _frequency_class(basis)
+    for row in vt:
+        assert len(set(cls[row != 0])) == 1
+    again = build_measurement_map(basis, geom).svd
+    assert all(np.array_equal(x, y) for x, y in zip(mmap.svd, again))
 
 
 def test_map_is_built_from_basis_and_geometry_only():
