@@ -107,8 +107,8 @@ def main(argv: list[str] | None = None) -> int:
             print("all files valid")
             return EXIT_OK
         if kind == "rank_analysis":
-            for z, n in result:
-                print(f"Z={z}: n_Z={n}")
+            for row in result:
+                print(f"Z={row['Z']}: n_Z={row['n_detections']}")
         elif kind in ("error_sweep", "entropy_sweep"):
             print(f"wrote {len(result)} sweep cells")
         elif kind == "reconstruct":

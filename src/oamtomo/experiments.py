@@ -151,8 +151,6 @@ class ExperimentSpec:
     z_max: int = _integer("z_max", 10, 1)
     z_values: tuple[int, ...] = _integer("z_values", (1, 2, 3), 1, many=True)
     ranks: tuple[int, ...] = _integer("ranks", (1, 2, 4, 8, 15), 1, many=True)
-    # the dimension axis of an error sweep
-    ell_max_values: tuple[int, ...] | None = _integer("ell_max_values", None, 0, many=True)
     trials: int = _integer("trials", 50, 1)
     n_states: int = _integer("n_states", 20, 1)
     branches: tuple[str, ...] = _spec_field(
@@ -185,9 +183,9 @@ class ExperimentSpec:
     threads: int = 1
     strict: bool = False
 
-    def basis(self, ell_max: int | None = None) -> ModeBasis:
+    def basis(self) -> ModeBasis:
         if self.basis_kind == "symmetric":
-            return ModeBasis.symmetric_span(self.ell_max if ell_max is None else ell_max)
+            return ModeBasis.symmetric_span(self.ell_max)
         return ModeBasis.nonnegative_span(self.d)
 
     def geometry(self, n_planes: int | None = None) -> ScanGeometry:
@@ -248,15 +246,13 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     solver = {a.removeprefix("solver."): values.pop(a) for a in list(values) if a.startswith("solver.")}
     spec = ExperimentSpec(**values, solver=SolverConfig(**solver))
 
-    # the bases the run builds: only an error sweep walks ell_max_values
-    ell_axis = (spec.ell_max_values if spec.kind == "error_sweep" else None) or (spec.ell_max,)
-    d_max = 2 * max(ell_axis) + 1 if spec.basis_kind == "symmetric" else spec.d
+    d_max = 2 * spec.ell_max + 1 if spec.basis_kind == "symmetric" else spec.d
     # a rank above d is skipped, but a sweep with no rank in [1, d] has no cells
     if min(spec.ranks) > d_max:
         problems.append(f"ranks must include one at most d = {d_max}, got {list(spec.ranks)}")
     if spec.state_rank > d_max:
         problems.append(f"state.rank must be at most d = {d_max}, got {spec.state_rank}")
-    if spec.state_kind == "test" and not (spec.basis_kind == "symmetric" and min(ell_axis) >= 3):
+    if spec.state_kind == "test" and not (spec.basis_kind == "symmetric" and spec.ell_max >= 3):
         problems.append("state.kind 'test' needs the modes -3, 0 and 3 (symmetric basis, ell_max >= 3)")
     if spec.state_kind == "test" and (spec.state_p is None) != (spec.state_theta is None):
         missing = "state.theta" if spec.state_theta is None else "state.p"
@@ -310,74 +306,67 @@ def _simulate(spec: ExperimentSpec, rho: DensityMatrix, mmap: MeasurementMap, se
 
 
 def _map_cells(spec: ExperimentSpec, cell_fn, cells: list) -> list:
-    """cell_fn over the cells, in order; in a process pool when spec.threads > 1."""
-    if spec.threads > 1:
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
+    """cell_fn over the cells, in order; in a process pool of at most
+    spec.threads workers, and no more than there are cells, when that is > 1."""
+    workers = min(spec.threads, len(cells))  # the pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(cell_fn, cells))
     return [cell_fn(c) for c in cells]
 
 
-def run_rank_analysis(spec: ExperimentSpec) -> list[tuple[int, int]]:
-    """(Z, n_Z) for Z = 1..z_max, each from the map of the first Z planes."""
+def _moments(what: str, cell: str, **trials: list[float]) -> dict[str, float]:
+    """mean_<name> and var_<name> of each named list of per-trial values; a
+    non-finite value is an error, reported as a non-finite ``what`` in ``cell``."""
+    if not all(math.isfinite(v) for values in trials.values() for v in values):
+        raise RuntimeError(f"non-finite {what} in cell {cell}")
+    row = {}
+    for name, values in trials.items():
+        row[f"mean_{name}"] = float(np.mean(values))
+        row[f"var_{name}"] = float(np.var(values))
+    return row
+
+
+def run_rank_analysis(spec: ExperimentSpec) -> list[dict]:
+    """A CSV row {Z, n_detections} for Z = 1..z_max, each from the map of the first Z planes."""
     basis = spec.basis()
     geometry = spec.geometry(n_planes=spec.z_max)
-    out = []
+    rows = []
     for z in range(1, spec.z_max + 1):
         prefix = replace(geometry, planes=geometry.planes[:z])
-        out.append((z, independent_detections(build_measurement_map(basis, prefix))))
-    return out
+        rows.append({"Z": z, "n_detections": independent_detections(build_measurement_map(basis, prefix))})
+    return rows
 
 
-def _error_cell(args) -> tuple[tuple[int, int, int], list[float], list[float]]:
-    """One (ell_max, Z, rank) sweep cell; returns per-trial errors."""
-    spec, ell_max, z, rank = args
-    basis = spec.basis(ell_max=ell_max)
+def _error_cell(args) -> dict:
+    """The CSV row of one (Z, rank) sweep cell: its trials' error moments."""
+    spec, z, rank = args
+    basis = spec.basis()
     mmap = build_measurement_map(basis, spec.geometry(n_planes=z))
     pos_errors, pinv_errors = [], []
     for trial in range(spec.trials):
-        seed = derive_seed(spec.seed, ell_max, z, rank, trial)
+        seed = derive_seed(spec.seed, spec.ell_max, z, rank, trial)
         rho = _make_state(spec, basis, rank, seed)
         scan = _simulate(spec, rho, mmap, seed)
         rep_pos = reconstruct_positive(mmap, scan, spec.solver)
         if spec.strict and not rep_pos.converged:
             raise NonConvergenceError(
-                f"positive-branch solver did not converge (ell_max={ell_max}, Z={z}, "
+                f"positive-branch solver did not converge (ell_max={spec.ell_max}, Z={z}, "
                 f"rank={rank}, trial={trial})"
             )
         rep_pinv = reconstruct_pseudoinverse(mmap, scan)
         pos_errors.append(hs_error(rep_pos.estimate, rho))
         pinv_errors.append(hs_error(rep_pinv.estimate, rho))
-    return (ell_max, z, rank), pos_errors, pinv_errors
+    cell = f"ell_max={spec.ell_max}, Z={z}, rank={rank}"
+    row = {"ell_max": spec.ell_max, "d": basis.dim, "Z": z, "rank": rank, "trials": spec.trials}
+    return row | _moments("error", cell, err_positive=pos_errors, err_pseudoinverse=pinv_errors)
 
 
 def run_error_sweep(spec: ExperimentSpec) -> list[dict]:
-    """Mean/variance of reconstruction errors per (ell_max, Z, rank) cell."""
-    ell_axis = spec.ell_max_values or (spec.ell_max,)
-    cells = [
-        (spec, ell_max, z, rank)
-        for ell_max in ell_axis
-        for z in spec.z_values
-        for rank in spec.ranks
-        if rank <= spec.basis(ell_max).dim
-    ]
-    rows = []
-    for (ell_max, z, rank), pos, pinv in _map_cells(spec, _error_cell, cells):
-        if any(not math.isfinite(e) for e in pos + pinv):
-            raise RuntimeError(f"non-finite error in cell ell_max={ell_max}, Z={z}, rank={rank}")
-        rows.append(
-            {
-                "ell_max": ell_max,
-                "d": spec.basis(ell_max).dim,
-                "Z": z,
-                "rank": rank,
-                "trials": spec.trials,
-                "mean_err_positive": float(np.mean(pos)),
-                "var_err_positive": float(np.var(pos)),
-                "mean_err_pseudoinverse": float(np.mean(pinv)),
-                "var_err_pseudoinverse": float(np.var(pinv)),
-            }
-        )
-    return rows
+    """The CSV rows of the reconstruction-error moments per (Z, rank) cell."""
+    d = spec.basis().dim
+    cells = [(spec, z, rank) for z in spec.z_values for rank in spec.ranks if rank <= d]
+    return _map_cells(spec, _error_cell, cells)
 
 
 def entropy_cell_inputs(
@@ -396,30 +385,19 @@ def entropy_cell_inputs(
     return mmap, inputs
 
 
-def _entropy_cell(args) -> tuple[tuple[int, str], list[float]]:
+def _entropy_cell(args) -> dict:
+    """The CSV row of one (Z, branch) sweep cell: its states' entropy moments."""
     spec, z, branch = args
     mmap, inputs = entropy_cell_inputs(spec, z)
     entropies = [uniqueness_entropy(mmap, scan, cfg, branch=branch) for scan, cfg in inputs]
-    return (z, branch), entropies
+    row = {"Z": z, "branch": branch, "n_states": spec.n_states}
+    return row | _moments("entropy", f"Z={z}, branch={branch}", entropy=entropies)
 
 
 def run_entropy_sweep(spec: ExperimentSpec) -> list[dict]:
-    """Mean/variance of the uniqueness entropy per (Z, branch) cell."""
+    """The CSV rows of the uniqueness-entropy moments per (Z, branch) cell."""
     cells = [(spec, z, branch) for z in spec.z_values for branch in spec.branches]
-    rows = []
-    for (z, branch), entropies in _map_cells(spec, _entropy_cell, cells):
-        if any(not math.isfinite(s) for s in entropies):
-            raise RuntimeError(f"non-finite entropy in cell Z={z}, branch={branch}")
-        rows.append(
-            {
-                "Z": z,
-                "branch": branch,
-                "n_states": spec.n_states,
-                "mean_entropy": float(np.mean(entropies)),
-                "var_entropy": float(np.var(entropies)),
-            }
-        )
-    return rows
+    return _map_cells(spec, _entropy_cell, cells)
 
 
 def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
@@ -482,28 +460,27 @@ def run_validate(spec: ExperimentSpec) -> list[str]:
 
 
 def write_sweep_csv(path: str, rows: list[dict]) -> None:
+    """A header of the first row's keys, then each row's values as str writes them."""
     if not rows:
         raise ValueError("empty sweep result")
     cols = list(rows[0].keys())
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c]) for c in cols)
-                + "\n"
-            )
+            fh.write(",".join(str(row[c]) for c in cols) + "\n")
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str = ".") -> Any:
     """Dispatch on spec.kind and write the configured outputs."""
     os.makedirs(out_dir, exist_ok=True)
     sweep_csv = os.path.join(out_dir, spec.output or f"{spec.kind}.csv")
-    if spec.kind == "rank_analysis":
-        rows = run_rank_analysis(spec)
-        write_sweep_csv(sweep_csv, [{"Z": z, "n_detections": n} for z, n in rows])
-        return rows
-    if spec.kind in ("error_sweep", "entropy_sweep"):
-        rows = run_error_sweep(spec) if spec.kind == "error_sweep" else run_entropy_sweep(spec)
+    sweeps = {
+        "rank_analysis": run_rank_analysis,
+        "error_sweep": run_error_sweep,
+        "entropy_sweep": run_entropy_sweep,
+    }
+    if spec.kind in sweeps:
+        rows = sweeps[spec.kind](spec)
         write_sweep_csv(sweep_csv, rows)
         return rows
     if spec.kind == "reconstruct":

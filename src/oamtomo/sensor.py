@@ -84,6 +84,8 @@ class ScanGeometry:
         planes = tuple(float(z) for z in self.planes)
         if not planes:
             raise ValueError("need at least one plane")
+        if not all(map(math.isfinite, planes)):
+            raise ValueError(f"plane positions must be finite, got {planes}")
         if len(set(planes)) != len(planes):
             raise ValueError(f"plane positions must be distinct, got {planes}")
         object.__setattr__(self, "planes", planes)
@@ -368,9 +370,11 @@ def write_scan_csv(path, scan: IntensityScan) -> None:
 
 def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
     """Parse the scan CSV format; raises :class:`ScanFormatError` on a file
-    that is not UTF-8 text, and with the offending line number on a bad
-    field, a plane position under two indices, a non-finite or negative
-    value, a pixel outside the grid, or a (plane, px, py) seen before."""
+    that is not UTF-8 text or whose grid gives ``extent`` no positive finite
+    pixel area, and with the offending line number on a bad field, a
+    non-finite plane position, a plane position under two indices, a
+    non-finite or negative value, a pixel outside the grid, or a (plane, px,
+    py) seen before."""
     planes: list[float] = []
     fields: list[float] = []  # (plane, py, px, value) per data row, flattened
     blank: list[int] = []
@@ -393,10 +397,13 @@ def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
                     value = float(parts[4])
                 except ValueError as exc:
                     raise ScanFormatError(f"line {lineno}: {exc}") from exc
-                if j == len(planes) and zeta not in planes:
+                if j == len(planes) and zeta not in planes and math.isfinite(zeta):
                     planes.append(zeta)
-                elif not 0 <= j < len(planes) or planes[j] != zeta:
-                    raise ScanFormatError(f"line {lineno}: inconsistent plane index/position")
+                elif not 0 <= j < len(planes) or planes[j] != zeta:  # where every non-finite zeta lands
+                    problem = "inconsistent plane index/position"
+                    if not math.isfinite(zeta):
+                        problem = f"non-finite plane position {zeta!r}"
+                    raise ScanFormatError(f"line {lineno}: {problem}")
                 fields.extend((j, py, px, value))
     except UnicodeDecodeError as exc:
         raise ScanFormatError(f"scan file is not UTF-8 text: {exc}") from exc
@@ -434,5 +441,9 @@ def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
         )
     grid = np.empty(flat.size)
     grid[flat] = values
-    geom = ScanGeometry(n, extent, tuple(planes))
+    try:
+        geom = ScanGeometry(n, extent, tuple(planes))
+    except ValueError as exc:  # the planes were checked above, so the extent is at fault
+        problem = f"extent {extent!r} gives no positive finite pixel area on the file's {n}x{n} grid"
+        raise ScanFormatError(problem) from exc
     return IntensityScan(geom, grid)

@@ -142,7 +142,7 @@ def test_spec_error_pickles_whole():
 def test_rank_analysis_small_basis():
     spec = parse_spec({"kind": "rank_analysis", "basis": {"ell_max": 1}, "z_max": 3})
     rows = run_rank_analysis(spec)
-    assert rows == [(1, 6), (2, 8), (3, 8)]
+    assert rows == [{"Z": 1, "n_detections": 6}, {"Z": 2, "n_detections": 8}, {"Z": 3, "n_detections": 8}]
 
 
 def test_error_sweep_rows_and_determinism(tmp_path):
@@ -170,6 +170,52 @@ def test_error_sweep_rows_and_determinism(tmp_path):
     write_sweep_csv(a, rows)
     write_sweep_csv(b, run_error_sweep(parse_spec(obj)))
     assert a.read_bytes() == b.read_bytes()
+
+    # the header is pinned, and each float field reads back as exactly its row's float
+    header, *lines = a.read_text().splitlines()
+    assert header == (
+        "ell_max,d,Z,rank,trials,mean_err_positive,var_err_positive,"
+        "mean_err_pseudoinverse,var_err_pseudoinverse"
+    )
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        values = dict(zip(header.split(","), line.split(",")))
+        ints = [int(values[c]) for c in ("ell_max", "d", "Z", "rank", "trials")]
+        assert ints == [1, 3, row["Z"], row["rank"], 2]
+        for name in header.split(",")[5:]:
+            assert type(row[name]) is float and float(values[name]) == row[name]
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
+    """The pool starts all its workers at once, so a sweep asks for no more
+    than it has cells; checked with an in-process stand-in for the pool."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    obj = {"kind": "error_sweep", "basis": {"ell_max": 1}, "geometry": SMALL_GEOM, "trials": 1}
+    spec = parse_spec({**obj, "z_values": [1, 2], "ranks": [1]})
+    in_process = run_error_sweep(spec)
+    assert pools == []
+    spec.threads = 500
+    assert run_error_sweep(spec) == in_process
+    assert pools == [2]
+    spec = parse_spec({**obj, "z_values": [1], "ranks": [1]})  # one cell runs in process
+    spec.threads = 500
+    run_error_sweep(spec)
+    assert pools == [2]
 
 
 def test_simulate_then_reconstruct_roundtrip(tmp_path):
@@ -332,7 +378,8 @@ def test_cli_bad_set_exits_2(capsys):
         ("error-sweep", ["branches=3"], "branches must be a non-empty list"),
         ("simulate", ["geometry.planes=[1,1]"], "geometry.planes must be"),
         ("simulate", ["predict_planes=[0,0]"], "predict_planes must be"),
-        ("error-sweep", ["ell_max_values=[-1]"], "ell_max_values must be nonnegative"),
+        ("error-sweep", ["ell_max_values=[-1]"], "unknown field 'ell_max_values'"),
+        ("rank-analysis", ["basis.ell_max=-1"], "basis.ell_max must be a nonnegative integer"),
         ("rank-analysis", ["basis.ellmax=1"], "unknown field 'basis.ellmax'"),
         ("simulate", ["noise.budget=5"], "unknown field 'noise.budget'"),
         ("simulate", ["state.kind=test", "state.p=x", "state.theta=0.5"], "state.p must be"),
@@ -369,6 +416,7 @@ def test_cli_bad_set_exits_2(capsys):
         "repeated plane",
         "repeated prediction plane",
         "negative ell_max value",
+        "negative basis.ell_max",
         "misspelt basis field",
         "misspelt noise field",
         "test-state weight not a number",
@@ -441,6 +489,33 @@ MALFORMED_FILES = {
         "line 3: inconsistent plane",
         EXIT_DATA,
     ),
+    "scan plane position nan": (
+        "reconstruct",
+        lambda p: p.write_text("plane_index,zeta,px,py,value\n0,nan,0,0,0.5\n"),
+        "line 2: non-finite plane position nan",
+        EXIT_DATA,
+    ),
+    "scan plane positions nan": (
+        "reconstruct",
+        lambda p: p.write_text("plane_index,zeta,px,py,value\n" + "0,nan,0,0,0.5\n0,nan,1,0,0.5\n"),
+        "line 2: non-finite plane position nan",
+        EXIT_DATA,
+    ),
+    "scan second plane inf": (
+        "reconstruct",
+        lambda p: p.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0,1.0\n1,inf,0,0,1.0\n"),
+        "line 3: non-finite plane position inf",
+        EXIT_DATA,
+    ),
+    "extent underflows on the file's grid": (
+        "reconstruct --set geometry.extent=2.1e-161",
+        lambda p: p.write_text(
+            "plane_index,zeta,px,py,value\n"
+            + "".join(f"0,0.0,{px},{py},0.5\n" for py in range(101) for px in range(101))
+        ),
+        "extent 2.1e-161 gives no positive finite pixel area on the file's 101x101 grid",
+        EXIT_DATA,
+    ),
 }
 
 
@@ -448,7 +523,8 @@ MALFORMED_FILES = {
 def test_cli_malformed_data_file_exits_2_or_3(tmp_path, capsys, command, write, message, code):
     path = tmp_path / "data"
     write(path)
-    args = [command, "--out", str(tmp_path / "out"), "--set", "basis.ell_max=1"]
+    command, *options = command.split()
+    args = [command, *options, "--out", str(tmp_path / "out"), "--set", "basis.ell_max=1"]
     if command == "simulate":
         args += ["--set", "state.kind=file", "--set", f'state.path="{path}"']
     else:

@@ -59,6 +59,9 @@ def test_scan_geometry_validation():
     for extent in (1e300, 1e-300):  # a pixel area that overflows or underflows
         with pytest.raises(ValueError, match="positive finite pixel area"):
             ScanGeometry(3, extent, (0.0,))
+    for plane in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="plane positions must be finite"):
+            ScanGeometry(19, 3.0, (0.0, plane))
 
 
 def test_pixel_centers_match_formula():
