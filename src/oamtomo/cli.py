@@ -9,8 +9,8 @@ Subcommands map one-to-one onto the harness experiments:
     oamtomo simulate       --spec spec.json
     oamtomo validate       --set scan_file=scan.csv
 
-Exit codes: 0 success, 2 spec validation error, 3 data format error,
-4 non-convergence under --strict.
+Exit codes: 0 success, 2 spec error (an unreadable --spec included), 3 data
+error (an unusable data file or --out included), 4 non-convergence under --strict.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(args.spec, encoding="utf-8") as fh:
                     obj = json.load(fh)
-            except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # unreadable or missing, not UTF-8 text, or not JSON
                 raise SpecValidationError([f"spec file is not valid JSON: {exc}"]) from exc
         else:
             obj = {}
@@ -119,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecValidationError as exc:
         print(exc, file=sys.stderr)
         return EXIT_SPEC
-    except (ScanFormatError, StateValidationError, FileNotFoundError) as exc:
+    except (ScanFormatError, StateValidationError, OSError) as exc:  # bad data, or an unusable file or --out
         print(exc, file=sys.stderr)
         return EXIT_DATA
     except NonConvergenceError as exc:

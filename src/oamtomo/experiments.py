@@ -29,6 +29,7 @@ from .qstate import (
 from .sensor import (
     IntensityScan,
     MeasurementMap,
+    ScanFormatError,
     ScanGeometry,
     build_measurement_map,
     default_planes,
@@ -189,10 +190,10 @@ class ExperimentSpec:
         return ModeBasis.nonnegative_span(self.d)
 
     def geometry(self, n_planes: int | None = None) -> ScanGeometry:
-        planes = self.planes
-        if planes is None or n_planes is not None:
-            planes = default_planes(self.n_planes if n_planes is None else n_planes)
-        return ScanGeometry(self.n_pixels_per_side, self.extent, planes)
+        """The run's grid over the first ``n_planes`` planes of its list, or over
+        all of them: geometry.planes when given, else the default pool."""
+        planes = self.planes or default_planes(self.n_planes if n_planes is None else n_planes)
+        return ScanGeometry(self.n_pixels_per_side, self.extent, planes[:n_planes])
 
 
 # the solver block sets these SolverConfig fields, which SolverConfig checks again for library callers
@@ -261,6 +262,10 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
         ScanGeometry(spec.n_pixels_per_side, spec.extent)
     except ValueError:
         problems.append(f"geometry.extent must give a positive finite pixel area, got {spec.extent!r}")
+    sweep = spec.kind in ("rank_analysis", "error_sweep", "entropy_sweep")  # each takes the first Z planes
+    z_top = spec.z_max if spec.kind == "rank_analysis" else max(spec.z_values)
+    if sweep and spec.planes and z_top > len(spec.planes):
+        problems.append(f"Z = {z_top} needs more planes than the {len(spec.planes)} of geometry.planes")
     if spec.noise_kind == "poisson" and spec.photon_budget is None:
         problems.append("noise.photon_budget is required for poisson noise")
     entropy = spec.kind == "entropy_sweep" or (spec.kind == "reconstruct" and spec.compute_entropy)
@@ -330,12 +335,8 @@ def _moments(what: str, cell: str, **trials: list[float]) -> dict[str, float]:
 def run_rank_analysis(spec: ExperimentSpec) -> list[dict]:
     """A CSV row {Z, n_detections} for Z = 1..z_max, each from the map of the first Z planes."""
     basis = spec.basis()
-    geometry = spec.geometry(n_planes=spec.z_max)
-    rows = []
-    for z in range(1, spec.z_max + 1):
-        prefix = replace(geometry, planes=geometry.planes[:z])
-        rows.append({"Z": z, "n_detections": independent_detections(build_measurement_map(basis, prefix))})
-    return rows
+    maps = (build_measurement_map(basis, spec.geometry(n_planes=z)) for z in range(1, spec.z_max + 1))
+    return [{"Z": z, "n_detections": independent_detections(m)} for z, m in enumerate(maps, 1)]
 
 
 def _error_cell(args) -> dict:
@@ -444,17 +445,18 @@ def run_simulate(spec: ExperimentSpec, out_dir: str = ".") -> str:
 
 
 def run_validate(spec: ExperimentSpec) -> list[str]:
-    """Check data files against their format contracts; returns diagnostics."""
+    """Check data files against their format contracts; returns diagnostics. A
+    fault inside a reader, not in the data, propagates."""
     problems = []
     if spec.scan_file:
         try:
             read_scan_csv(spec.scan_file, extent=spec.extent)
-        except Exception as exc:
+        except (ScanFormatError, OSError) as exc:
             problems.append(f"scan_file: {exc}")
     if spec.state_file:
         try:
             read_state_json(spec.state_file)
-        except Exception as exc:
+        except (StateValidationError, OSError) as exc:
             problems.append(f"state_file: {exc}")
     return problems
 

@@ -84,6 +84,8 @@ class ModeBasis:
 
 def _check_density(entries: np.ndarray) -> list[str]:
     """Return the list of violated density-matrix invariants (empty if valid)."""
+    if not np.isfinite(entries).all():
+        return ["finite entries"]  # NaN passes every comparison below
     problems = []
     if np.max(np.abs(entries - entries.conj().T)) > 1e-12:
         problems.append("hermiticity")

@@ -51,6 +51,7 @@ DEFAULT_PLANE_POOL = (0.0, 1 / 3, 1 / 2, 1.0, 3 / 2, 2.0, 5 / 2, 3.0, 4.0, 5.0)
 
 SCAN_HEADER = "plane_index,zeta,px,py,value"
 DETECTION_TOL = 1e-8  # singular values of A counted as detections, relative to the largest
+SVD_RCOND = 1e-12  # singular values of A kept in its least-squares model and A^+, relative to the largest
 
 
 class ScanFormatError(ValueError):
@@ -138,8 +139,8 @@ class MeasurementMap:
     the Gouy-free block at the waist turned by the Gouy rotation
     R(arctan zeta), rows ordered plane-major with row-major pixels. The map
     factors itself once, on first use of :attr:`svd`, and keeps the factors
-    for as long as it lives; the solvers and :func:`independent_detections`
-    share them.
+    for as long as it lives; :meth:`least_squares` and
+    :func:`independent_detections` share them.
     """
 
     basis: ModeBasis
@@ -208,22 +209,40 @@ class MeasurementMap:
             f.setflags(write=False)
         return factors
 
-    def project(self, p: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
-        """(U_k^T p, 0.5 ||p - U_k U_k^T p||^2) for the leading ``rank`` left
-        singular vectors U_k of A, computed plane by plane.
+    def least_squares(self, scan: IntensityScan) -> LeastSquares:
+        """0.5 ||A x - p||^2 = 0.5 ||W x - b||^2 + f_res, W = diag(s) vt, for the
+        scan's values p, over the k singular values s of A above SVD_RCOND * s_max.
 
-        With c_j = Q^T p_j, the unfit part is the sum of ||p_j - Q c_j||^2 over
-        the planes and ||c - u_k U_k^T p||^2: residuals taken directly, so the
-        result has no cancellation however small it is.
+        vt holds their rows of V^T and ``null`` the rows past them, which span
+        the null space of A; b = U_k^T p, f_res = 0.5 ||p - U_k U_k^T p||^2 is
+        the part of p no state fits, and x = A^+ p = vt^T (b / s). The m-row U
+        is never formed: with c_j = q^T p_j, 2 f_res is the sum over the planes
+        of ||p_j - q c_j||^2 plus ||c - u_k b||^2. These residuals are taken
+        directly, so f_res, the objective and its gradient W^T (W x - b) have no
+        cancellation, however small the residual is.
         """
-        q, u, _, _ = self.svd
-        planes = np.reshape(p, (self.geometry.n_planes, -1))
+        if scan.geometry != self.geometry:
+            raise ValueError(f"scan geometry {scan.geometry} does not match the map's {self.geometry}")
+        q, u, s, vt = self.svd
+        k = int(np.sum(s > SVD_RCOND * s[0]))
+        planes = scan.values.reshape(self.geometry.n_planes, -1)
         c = planes @ q
-        uk = u[:, :rank]
-        b = uk.T @ c.ravel()
-        inside = c.ravel() - uk @ b
+        b = u[:, :k].T @ c.ravel()
+        inside = c.ravel() - u[:, :k] @ b
         outside = planes - c @ q.T
-        return b, 0.5 * (float(np.vdot(outside, outside)) + float(inside @ inside))
+        f_res = 0.5 * (float(np.vdot(outside, outside)) + float(inside @ inside))
+        return LeastSquares(s[:k], vt[:k], b, f_res, vt[:k].T @ (b / s[:k]), vt[k:])
+
+
+class LeastSquares(NamedTuple):
+    """A scan's rank-cut least-squares model, from :meth:`MeasurementMap.least_squares`."""
+
+    s: np.ndarray
+    vt: np.ndarray
+    b: np.ndarray
+    f_res: float
+    x: np.ndarray
+    null: np.ndarray
 
 
 @dataclass(frozen=True)

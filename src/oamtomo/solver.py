@@ -11,7 +11,7 @@ Two estimators share the least-squares objective || A x - p ||:
   nothing about uniqueness; when A has a null space the minimizer set can
   be a whole face of the cone.
 * ``reconstruct_pseudoinverse`` takes the minimum-norm least-squares
-  solution A^+ p with no positivity constraint, from the map's own SVD.
+  solution A^+ p with no positivity constraint, from the map's least-squares model.
 
 Both report trace-normalized estimates so errors compare shape, not scale.
 ``uniqueness_entropy`` probes solution uniqueness: run the estimator many
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 DEGENERATE_TRACE = 1e-14
-SVD_RCOND = 1e-12  # singular values of A kept in the least-squares model and A^+
 RANK_TOL = 0.05  # eigenvalues above this fraction of the largest set the initial factor width
 LM_DAMPING = 1e-10  # initial damping, relative to ||J||_F^2, the trace of the Gram matrix
 LM_TRIALS = 40  # damping increases tried before a refinement step counts as stalled
@@ -99,29 +98,6 @@ def _finalize(mmap: MeasurementMap, raw: np.ndarray) -> tuple[DensityMatrix, dic
     est = project_psd(est)
     est /= np.trace(est).real
     return DensityMatrix(mmap.basis, est), meta
-
-
-def _least_squares_model(mmap: MeasurementMap, scan: IntensityScan):
-    """Thin-SVD form of 0.5 ||A x - p||^2 = 0.5 ||W x - b||^2 + f_res for the
-    scan's values p, after checking that the scan has the map's geometry.
-
-    Returns (s, vt, b, f_res, x): the singular values of A above
-    SVD_RCOND * s_max, their rows vt of V^T, b = U^T p on those singular
-    vectors, the part f_res of the data no x can fit, and the pseudoinverse
-    solution x = A^+ p = vt^T (b / s). Then W = diag(s) vt.
-    Evaluating the objective and its gradient W^T (W x - b) this way avoids
-    the cancellation of the expanded quadratic, so residuals far below
-    sqrt(eps) * ||p|| are still resolved. The factors are the map's own,
-    and b and f_res come from one :meth:`MeasurementMap.project`, which
-    never forms the m-row U.
-    """
-    if scan.geometry != mmap.geometry:
-        raise ValueError(f"scan geometry {scan.geometry} does not match the map's {mmap.geometry}")
-    _, _, s, vt = mmap.svd
-    rank = int(np.sum(s > SVD_RCOND * s[0]))
-    b, f_res = mmap.project(scan.values, rank)
-    s, vt = s[:rank], vt[:rank]
-    return s, vt, b, f_res, vt.T @ (b / s)
 
 
 def _jacobian(M: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -180,11 +156,11 @@ def reconstruct_positive(
     or "stalled"), the number of steps and the final factor width.
     """
     d = mmap.basis.dim
-    s, vt, b, f_res, x = _least_squares_model(mmap, scan)
+    s, vt, b, f_res, x, _ = mmap.least_squares(scan)
     W = s[:, None] * vt
     if W.shape[0] == 0:
         raise ValueError("measurement map is identically zero")
-    scale = float(np.linalg.norm(mmap.matrix.T @ scan.values)) or 1.0
+    scale = float(np.linalg.norm(s * b)) or 1.0  # ||A^T p|| on the kept singular values
     tol = cfg.rel_tolerance
 
     def state(L):
@@ -305,9 +281,9 @@ def reconstruct_pseudoinverse(
     kept in the metadata.
     """
     d = mmap.basis.dim
-    x = _least_squares_model(mmap, scan)[4]
-    raw = coords_to_hermitian(x, d)
-    residual = float(np.linalg.norm(mmap.matrix @ x - scan.values))
+    model = mmap.least_squares(scan)
+    raw = coords_to_hermitian(model.x, d)
+    residual = math.sqrt(2.0 * model.f_res)  # ||A x - p|| at x = A^+ p, without cancellation
     tr = np.trace(raw).real
     meta = {"raw_trace": float(tr), "raw_residual": residual}
     if abs(tr) < DEGENERATE_TRACE:
@@ -363,8 +339,8 @@ def multistart_estimates(
             rep = reconstruct_positive(mmap, scan, cfg, init)
             columns[:, i] = hermitian_to_coords(rep.estimate.entries)
     else:
-        s, _, _, _, x0 = _least_squares_model(mmap, scan)
-        null_basis = mmap.svd.vt[len(s):]
+        model = mmap.least_squares(scan)
+        x0, null_basis = model.x, model.null
         scale = float(np.linalg.norm(x0)) / 10.0
         for i in range(cfg.multistart):
             x = x0 + null_basis.T @ rng.normal(size=null_basis.shape[0]) * scale

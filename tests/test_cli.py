@@ -25,16 +25,18 @@ from oamtomo.qstate import (
     random_state,
     read_state_json,
     state_from_json_dict,
+    test_state as probe_state,
     write_state_json,
 )
 from oamtomo.sensor import (
     ScanGeometry,
     build_measurement_map,
+    independent_detections,
     read_scan_csv,
     simulate_scan,
     write_scan_csv,
 )
-from oamtomo.solver import SolverConfig
+from oamtomo.solver import SolverConfig, reconstruct_positive, reconstruct_pseudoinverse
 
 SMALL_GEOM = {"n_pixels_per_side": 9}
 DARK = ["geometry.n_pixels_per_side=2", "geometry.extent=100"]  # every pixel far outside the beams
@@ -143,6 +145,46 @@ def test_rank_analysis_small_basis():
     spec = parse_spec({"kind": "rank_analysis", "basis": {"ell_max": 1}, "z_max": 3})
     rows = run_rank_analysis(spec)
     assert rows == [{"Z": 1, "n_detections": 6}, {"Z": 2, "n_detections": 8}, {"Z": 3, "n_detections": 8}]
+
+
+PLANES = [0.7, 1.9, 3.1]  # none of them in the default pool
+
+
+def test_rank_analysis_on_explicit_planes(monkeypatch):
+    """Row Z counts the detections of the map of the first Z planes of geometry.planes."""
+    maps = []
+
+    def recording_build(basis, geometry):
+        maps.append(build_measurement_map(basis, geometry))
+        return maps[-1]
+
+    monkeypatch.setattr(experiments, "build_measurement_map", recording_build)
+    obj = {"kind": "rank_analysis", "basis": {"ell_max": 2}, "geometry": {"planes": PLANES}, "z_max": 3}
+    rows = run_rank_analysis(parse_spec(obj))
+    assert [m.geometry for m in maps] == [ScanGeometry(19, 3.0, PLANES[:z]) for z in (1, 2, 3)]
+    assert rows == [{"Z": z, "n_detections": independent_detections(m)} for z, m in zip((1, 2, 3), maps)]
+
+
+def test_error_sweep_on_explicit_planes():
+    """A sweep cell at Z scans sees the first Z planes of geometry.planes:
+    its row equals the one computed by hand on a ScanGeometry of those planes."""
+    obj = {"kind": "error_sweep", "basis": {"ell_max": 2}, "geometry": {**SMALL_GEOM, "planes": PLANES}}
+    spec = parse_spec({**obj, "z_values": [1, 2], "ranks": [1], "trials": 1, "seed": 6})
+    basis = spec.basis()
+    for row in run_error_sweep(spec):
+        z = row["Z"]
+        mmap = build_measurement_map(basis, ScanGeometry(9, 3.0, PLANES[:z]))
+        rho = random_state(basis, 1, derive_seed(6, 2, z, 1, 0))
+        scan = simulate_scan(rho, mmap)
+        positive, pseudoinverse = reconstruct_positive(mmap, scan), reconstruct_pseudoinverse(mmap, scan)
+        assert row["mean_err_positive"] == hs_error(positive.estimate, rho)
+        assert row["mean_err_pseudoinverse"] == hs_error(pseudoinverse.estimate, rho)
+
+
+def test_simulate_keeps_every_explicit_plane(tmp_path):
+    obj = {"kind": "simulate", "basis": {"ell_max": 1}, "geometry": {**SMALL_GEOM, "planes": PLANES}}
+    spec = parse_spec(obj)  # its geometry.n_planes, 2 by default, gives way to the explicit list
+    assert read_scan_csv(run_simulate(spec, out_dir=str(tmp_path))).geometry.planes == tuple(PLANES)
 
 
 def test_error_sweep_rows_and_determinism(tmp_path):
@@ -346,8 +388,9 @@ def test_cli_invalid_spec_exits_2(tmp_path, capsys):
         (lambda p: p.write_text("{not json"), "Expecting property name"),
         (lambda p: p.mkdir(), "Is a directory"),
         (lambda p: p.write_bytes(b'{"kind": "simulate", "output": "\xff"}'), "can't decode byte 0xff"),
+        (lambda p: None, "No such file or directory"),
     ],
-    ids=["not JSON", "a directory", "not UTF-8"],
+    ids=["not JSON", "a directory", "not UTF-8", "missing"],
 )
 def test_cli_unparsable_spec_exits_2(tmp_path, capsys, write, message):
     path = tmp_path / "spec.json"
@@ -400,6 +443,8 @@ def test_cli_bad_set_exits_2(capsys):
         ("error-sweep", [*DARK, "noise.kind=poisson", "noise.photon_budget=1e6"], "receives no light"),
         ("simulate", [*TINY, "geometry.extent=1e300"], "positive finite pixel area, got 1e+300"),
         ("simulate", [*TINY, "geometry.extent=1e-300"], "positive finite pixel area, got 1e-300"),
+        ("error-sweep", ["geometry.planes=[0,1]", "z_values=[1,3]"], "Z = 3 needs more planes than"),
+        ("rank-analysis", ["geometry.planes=[0,1]", "z_max=3"], "Z = 3 needs more planes than"),
     ],
     ids=[
         "basis not an object",
@@ -437,6 +482,8 @@ def test_cli_bad_set_exits_2(capsys):
         "poisson sweep of a dark geometry",
         "pixel area overflows",
         "pixel area underflows",
+        "sweep Z beyond the explicit planes",
+        "rank-analysis Z beyond the explicit planes",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):
@@ -462,6 +509,13 @@ def test_cli_validate_good_and_bad_scan(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def diagonal_state(first: float):
+    """Writes a state file over the modes -1, 0, 1 with the diagonal (first, 0.5, 0.5);
+    json writes a NaN or an infinite entry as NaN or Infinity."""
+    obj = {"ells": [-1, 0, 1], "re": np.diag([first, 0.5, 0.5]).tolist(), "im": np.zeros((3, 3)).tolist()}
+    return lambda p: p.write_text(json.dumps(obj))
+
+
 MALFORMED_FILES = {
     "state file not JSON": ("simulate", lambda p: p.write_text("{not json"), "not valid JSON", EXIT_DATA),
     "state over another basis": (
@@ -476,6 +530,8 @@ MALFORMED_FILES = {
         "sorted ascending",
         EXIT_DATA,
     ),
+    "state entry nan": ("simulate", diagonal_state(np.nan), "invariants violated: finite entries", EXIT_DATA),
+    "state entry infinite": ("simulate", diagonal_state(np.inf), "invariants violated: finite entries", EXIT_DATA),
     "scan not UTF-8": (
         "reconstruct",
         lambda p: p.write_bytes(b"plane_index,zeta,px,py,value\n0,0.0,0,0,\xff\n"),
@@ -505,6 +561,18 @@ MALFORMED_FILES = {
         "reconstruct",
         lambda p: p.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0,1.0\n1,inf,0,0,1.0\n"),
         "line 3: non-finite plane position inf",
+        EXIT_DATA,
+    ),
+    "scan pixel outside the grid": (
+        "reconstruct",
+        lambda p: p.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0,1.0\n0,0.0,1,2,1.0\n"),
+        "line 3: pixel index (1, 2) outside 2x2 grid",
+        EXIT_DATA,
+    ),
+    "scan rows missing": (
+        "reconstruct",
+        lambda p: p.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0,1.0\n0,0.0,1,0,1.0\n"),
+        "expected 4 data rows for a 2x2 grid over 1 plane(s), got 2",
         EXIT_DATA,
     ),
     "extent underflows on the file's grid": (
@@ -601,6 +669,68 @@ def test_cli_simulate_reconstruct_and_strict_exit_4(tmp_path, capsys):
     )
     assert code == EXIT_NONCONVERGED
     capsys.readouterr()
+
+
+def test_cli_error_sweep_strict_exit_4(tmp_path, capsys):
+    sweep = ["trials=1", "ranks=[2]", "z_values=[1]", "solver.max_iterations=1", "solver.rel_tolerance=1e-15"]
+    args = ["error-sweep", "--strict", "--out", str(tmp_path)]
+    assert main([*args, *(f"--set={a}" for a in TINY + sweep)]) == EXIT_NONCONVERGED
+    assert "positive-branch solver did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "error_sweep.csv").exists()
+
+
+def test_cli_reconstruct_with_entropy(tmp_path, capsys):
+    """The README's demo: simulate a rank-2 state, then reconstruct it with the uniqueness entropy."""
+    out = str(tmp_path / "demo")
+    args = ["--set", "basis.ell_max=4", "--set", "geometry.n_pixels_per_side=9", "--out", out]
+    assert main(["simulate", *args, "--set", "state.rank=2"]) == EXIT_OK
+    scan = f'scan_file="{tmp_path / "demo" / "scan.csv"}"'
+    entropy = ["--set", "compute_entropy=true", "--set", "solver.multistart=3"]
+    assert main(["reconstruct", *args, "--set", scan, *entropy]) == EXIT_OK
+    capsys.readouterr()
+    report = json.loads((tmp_path / "demo" / "report.json").read_text())
+    assert report["converged"] and 0.0 <= report["uniqueness_entropy"] <= np.log(3)  # three runs
+    assert report["metadata"]["informationally_complete"] is False  # two planes, the default n_planes
+
+
+@pytest.mark.parametrize("kind", ["file", "test"])
+def test_cli_simulate_writes_the_scan_of_its_state(tmp_path, capsys, kind):
+    """state.kind "file" reads the state file, and "test" with state.p and
+    state.theta builds that probe state: the scan is that state's."""
+    basis = ModeBasis.symmetric_span(3)
+    if kind == "file":
+        rho = random_state(basis, 2, seed=8)
+        write_state_json(tmp_path / "rho.json", rho)
+        state = ["state.kind=file", f'state.path="{tmp_path / "rho.json"}"']
+    else:
+        rho = probe_state(0.3, 0.5, basis)
+        state = ["state.kind=test", "state.p=0.3", "state.theta=0.5"]
+    args = ["simulate", "--out", str(tmp_path), "--set=basis.ell_max=3", "--set=geometry.n_pixels_per_side=9"]
+    assert main([*args, *(f"--set={a}" for a in state)]) == EXIT_OK
+    capsys.readouterr()
+    mmap = build_measurement_map(basis, ScanGeometry.default(2, 9))
+    write_scan_csv(tmp_path / "fresh.csv", simulate_scan(rho, mmap))
+    assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_cli_out_an_existing_file_exits_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["simulate", "--set", "basis.ell_max=1", "--out", str(taken)]) == EXIT_DATA
+    assert "File exists" in capsys.readouterr().err
+
+
+def test_cli_validate_lets_a_reader_bug_propagate(tmp_path, monkeypatch):
+    """validate reports bad data, not a fault inside a reader."""
+    path = tmp_path / "scan.csv"
+    path.write_text("")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("reader bug")
+
+    monkeypatch.setattr(experiments, "read_scan_csv", broken)
+    with pytest.raises(RuntimeError, match="reader bug"):
+        main(["validate", "--set", f'scan_file="{path}"'])
 
 
 def test_cli_seed_flag_changes_simulation(tmp_path, capsys):

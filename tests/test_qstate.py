@@ -240,6 +240,9 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(b, np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(StateValidationError, match="hermiticity"):
         DensityMatrix(b, np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex))
+    for bad in (np.nan, np.inf):  # NaN passes every comparison, so finiteness is checked first
+        with pytest.raises(StateValidationError, match="invariants violated: finite entries$"):
+            DensityMatrix(b, np.diag([bad, 0.5]).astype(complex))
 
 
 def test_state_json_roundtrip(tmp_path):

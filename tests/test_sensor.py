@@ -12,6 +12,7 @@ from oamtomo.sensor import (
     IntensityScan,
     MeasurementMap,
     SCAN_HEADER,
+    SVD_RCOND,
     ScanFormatError,
     ScanGeometry,
     build_measurement_map,
@@ -21,7 +22,7 @@ from oamtomo.sensor import (
     simulate_scan,
     write_scan_csv,
 )
-from oamtomo.solver import SVD_RCOND, reconstruct_positive
+from oamtomo.solver import reconstruct_positive
 from oracles import (
     BeamGeometry,
     ModeIndex,
@@ -323,7 +324,7 @@ def test_factorization_matches_dense_svd(basis, geom):
     p = np.random.default_rng(7).uniform(size=A.shape[0])
     k = int(np.sum(s_dense > SVD_RCOND * s_dense[0]))
     assert k == int(np.sum(s > SVD_RCOND * s[0]))
-    b, unfit = mmap.project(p, k)
+    b, unfit = mmap.least_squares(IntensityScan(geom, p))[2:4]
     b_dense = u_dense[:, :k].T @ p
     fitted = ((u[:, :k] @ b).reshape(geom.n_planes, -1) @ q.T).ravel()
     fitted_dense = u_dense[:, :k] @ b_dense

@@ -27,7 +27,6 @@ from oamtomo.solver import (
     ReconstructionReport,
     SolverConfig,
     _jacobian,
-    _least_squares_model,
     multistart_estimates,
     reconstruct_positive,
     reconstruct_pseudoinverse,
@@ -156,7 +155,7 @@ def test_jacobian_matches_direction_stack(n_planes, width):
     d = basis.dim
     mmap = build_measurement_map(basis, ScanGeometry.default(n_planes))
     zeros = IntensityScan(mmap.geometry, np.zeros(mmap.matrix.shape[0]))
-    s, vt, _, _, _ = _least_squares_model(mmap, zeros)
+    s, vt = mmap.least_squares(zeros)[:2]
     W = s[:, None] * vt
     k = 1 if width == "one" else d
     rng = np.random.default_rng(n_planes)
