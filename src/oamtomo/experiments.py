@@ -253,6 +253,8 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
         problems.append(f"ranks must include one at most d = {d_max}, got {list(spec.ranks)}")
     if spec.state_rank > d_max:
         problems.append(f"state.rank must be at most d = {d_max}, got {spec.state_rank}")
+    if spec.kind == "error_sweep" and spec.state_kind != "random":
+        problems.append(f"an error sweep's ranks draw random states; state.kind {spec.state_kind!r} is not 'random'")
     if spec.state_kind == "test" and not (spec.basis_kind == "symmetric" and spec.ell_max >= 3):
         problems.append("state.kind 'test' needs the modes -3, 0 and 3 (symmetric basis, ell_max >= 3)")
     if spec.state_kind == "test" and (spec.state_p is None) != (spec.state_theta is None):

@@ -24,7 +24,9 @@ into three classes of coordinates (:attr:`MeasurementMap.svd`).
 from __future__ import annotations
 
 import functools
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -316,6 +318,7 @@ def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry) -> np.ndarray:
     rr = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
     env = np.exp(-2.0 * rr * rr) * geometry.pixel_area
+    rr = np.where(env > 0, rr, 0.0)  # where the envelope underflows, no rr^|l| overflow makes 0 * inf
     amp = np.array([_norm(l) for l in ells]) * rr[:, None] ** np.abs(ells)
     g = amp * np.exp(-1j * phi[:, None] * ells)
     iu, ju = _triu(d)
@@ -382,9 +385,68 @@ def write_scan_csv(path, scan: IntensityScan) -> None:
     pixels = [f"{px},{py}," for py in range(n) for px in range(n)]
     planes = [f"{j},{zeta!r}," for j, zeta in enumerate(geom.planes)]
     rows = [plane + pixel for plane in planes for pixel in pixels]
-    values = map(repr, scan.values.tolist())
+    # distinct bit patterns, so -0.0 stays apart from 0.0; photon counts repeat, so each is formatted once
+    distinct, inverse = np.unique(scan.values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
     with open(path, "w") as fh:
-        fh.write("\n".join([SCAN_HEADER, *map(str.__add__, rows, values)]) + "\n")
+        fh.write("\n".join([SCAN_HEADER, *map(str.__add__, rows, text[inverse].tolist())]) + "\n")
+
+
+_SCAN_ROW = np.dtype([("j", "i8"), ("zeta", "f8"), ("px", "i8"), ("py", "i8"), ("value", "f8")])
+
+
+def _parsed_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the non-blank body lines and their line numbers, one line at a
+    time; raises ScanFormatError on the first line whose fields do not parse or
+    whose pixel index does not fit in 64 bits."""
+    rows, numbers = [], []
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split(",")
+        if len(parts) != 5:
+            if not line.strip():
+                continue
+            raise ScanFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+        try:
+            j, zeta, px, py = int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
+            value = float(parts[4])
+        except ValueError as exc:
+            raise ScanFormatError(f"line {lineno}: {exc}") from exc
+        if not -(2**63) <= min(px, py) <= max(px, py) < 2**63:
+            raise ScanFormatError(f"line {lineno}: pixel index ({px}, {py}) does not fit in 64 bits")
+        rows.append((j if -(2**63) <= j < 2**63 else -1, zeta, px, py, value))  # -1: no plane has this index
+        numbers.append(lineno)
+    return np.array(rows, dtype=_SCAN_ROW), np.array(numbers, dtype=np.int64)
+
+
+def _scan_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """The data rows below a scan file's checked header, and their line numbers.
+
+    numpy's tokenizer reads the lines unless it fails, warns or skips a blank
+    line. The line loop reads those files, and those with a character that
+    numpy strips around a number where int() and float() do not (\\x1c-\\x1f),
+    or that str.splitlines takes as a line end where a file does not.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != SCAN_HEADER:
+                raise ScanFormatError(f"line 1: expected header {SCAN_HEADER!r}, got {header!r}")
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScanFormatError(f"scan file is not UTF-8 text: {exc}") from exc
+    if any(c in body for c in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"):
+        return _parsed_rows(io.StringIO(body).readlines())  # lines end at "\n" only
+    lines = body.splitlines(keepends=True)
+    del body  # one copy of the file text at a time
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no data warns; numpy 1.x reads 1.0 as an integer with a warning
+            rows = np.loadtxt(lines, delimiter=",", dtype=_SCAN_ROW, comments=None, ndmin=1)
+        if len(rows) == len(lines):  # row k is then on line k + 2
+            return rows, np.arange(2, len(rows) + 2)
+    except (ValueError, OverflowError, Warning):
+        pass
+    return _parsed_rows(lines)
 
 
 def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
@@ -393,49 +455,26 @@ def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
     pixel area, and with the offending line number on a bad field, a
     non-finite plane position, a plane position under two indices, a
     non-finite or negative value, a pixel outside the grid, or a (plane, px,
-    py) seen before."""
-    planes: list[float] = []
-    fields: list[float] = []  # (plane, py, px, value) per data row, flattened
-    blank: list[int] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != SCAN_HEADER:
-                raise ScanFormatError(f"line 1: expected header {SCAN_HEADER!r}, got {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.split(",")
-                if len(parts) != 5:
-                    if not line.strip():
-                        blank.append(lineno)
-                        continue
-                    raise ScanFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-                try:
-                    j = int(parts[0])
-                    zeta = float(parts[1])
-                    px, py = int(parts[2]), int(parts[3])
-                    value = float(parts[4])
-                except ValueError as exc:
-                    raise ScanFormatError(f"line {lineno}: {exc}") from exc
-                if j == len(planes) and zeta not in planes and math.isfinite(zeta):
-                    planes.append(zeta)
-                elif not 0 <= j < len(planes) or planes[j] != zeta:  # where every non-finite zeta lands
-                    problem = "inconsistent plane index/position"
-                    if not math.isfinite(zeta):
-                        problem = f"non-finite plane position {zeta!r}"
-                    raise ScanFormatError(f"line {lineno}: {problem}")
-                fields.extend((j, py, px, value))
-    except UnicodeDecodeError as exc:
-        raise ScanFormatError(f"scan file is not UTF-8 text: {exc}") from exc
-    if not fields:
+    py) seen before. Fields take Python's int and float syntax, blank lines
+    are skipped, and a bad field is reported before any other defect."""
+    table, line_numbers = _scan_rows(path)
+    if not table.size:
         raise ScanFormatError("scan file contains no data rows")
 
     def reject(row: int, problem: str):
-        line = np.setdiff1d(np.arange(2, lineno + 1), blank)[row]
-        raise ScanFormatError(f"line {line}: {problem}")
+        raise ScanFormatError(f"line {line_numbers[row]}: {problem}")
 
-    table = np.array(fields).reshape(-1, 4)
-    j, py, px = table[:, :3].astype(np.int64).T
-    values = table[:, 3]
+    j, zeta, px, py, values = (table[name] for name in _SCAN_ROW.names)
+    # a plane's index is the order in which its position first appears
+    _, first, inverse = np.unique(zeta, return_index=True, return_inverse=True)
+    index = np.empty(first.size, dtype=np.int64)
+    index[np.argsort(first)] = np.arange(first.size)
+    bad = np.flatnonzero(~np.isfinite(zeta) | (j != index[inverse]))
+    if bad.size:
+        z = float(zeta[bad[0]])
+        problem = f"non-finite plane position {z!r}"
+        reject(bad[0], "inconsistent plane index/position" if math.isfinite(z) else problem)
+    planes = tuple(zeta[np.sort(first)].tolist())
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         reject(bad[0], f"non-finite value {float(values[bad[0]])!r}")
@@ -447,21 +486,22 @@ def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
     if bad.size:
         i = bad[0]
         reject(i, f"pixel index ({px[i]}, {py[i]}) outside {n}x{n} grid")
-    flat = (j * n + py) * n + px
-    seen = np.zeros(flat.size, dtype=bool)
-    seen[np.unique(flat, return_index=True)[1]] = True  # first row of each pixel
-    if not seen.all():
-        i = np.argmin(seen)
-        reject(i, f"repeats pixel ({px[i]}, {py[i]}) of plane {j[i]}")
-    if flat.size != n * n * len(planes):
+    expected = n * n * len(planes)
+    if expected < 2**63:  # else the flat indices overflow, and the row count cannot match
+        flat = (j * n + py) * n + px
+        seen = np.zeros(flat.size, dtype=bool)
+        seen[np.unique(flat, return_index=True)[1]] = True  # first row of each pixel
+        if not seen.all():
+            i = np.argmin(seen)
+            reject(i, f"repeats pixel ({px[i]}, {py[i]}) of plane {j[i]}")
+    if table.size != expected:
         raise ScanFormatError(
-            f"expected {n * n * len(planes)} data rows for a {n}x{n} grid over "
-            f"{len(planes)} plane(s), got {flat.size}"
+            f"expected {expected} data rows for a {n}x{n} grid over {len(planes)} plane(s), got {table.size}"
         )
     grid = np.empty(flat.size)
     grid[flat] = values
     try:
-        geom = ScanGeometry(n, extent, tuple(planes))
+        geom = ScanGeometry(n, extent, planes)
     except ValueError as exc:  # the planes were checked above, so the extent is at fault
         problem = f"extent {extent!r} gives no positive finite pixel area on the file's {n}x{n} grid"
         raise ScanFormatError(problem) from exc

@@ -445,6 +445,7 @@ def test_cli_bad_set_exits_2(capsys):
         ("simulate", [*TINY, "geometry.extent=1e-300"], "positive finite pixel area, got 1e-300"),
         ("error-sweep", ["geometry.planes=[0,1]", "z_values=[1,3]"], "Z = 3 needs more planes than"),
         ("rank-analysis", ["geometry.planes=[0,1]", "z_max=3"], "Z = 3 needs more planes than"),
+        ("error-sweep", ["basis.ell_max=3", "state.kind=test", "state.p=0.5", "state.theta=0.3"], "random states"),
     ],
     ids=[
         "basis not an object",
@@ -484,6 +485,7 @@ def test_cli_bad_set_exits_2(capsys):
         "pixel area underflows",
         "sweep Z beyond the explicit planes",
         "rank-analysis Z beyond the explicit planes",
+        "error sweep over a test state",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):
@@ -575,6 +577,12 @@ MALFORMED_FILES = {
         "expected 4 data rows for a 2x2 grid over 1 plane(s), got 2",
         EXIT_DATA,
     ),
+    "scan pixel index beyond int64": (
+        "validate",
+        lambda p: p.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0,1.0\n0,0.0,99999999999999999999,0,1.0\n"),
+        "line 3: pixel index (99999999999999999999, 0) does not fit in 64 bits",
+        EXIT_DATA,
+    ),
     "extent underflows on the file's grid": (
         "reconstruct --set geometry.extent=2.1e-161",
         lambda p: p.write_text(
@@ -613,6 +621,14 @@ def test_cli_reconstruct_rejects_bad_scan_rows_exit_3(tmp_path, capsys, defect):
     path.write_text("\n".join(lines) + "\n")
     assert main(["reconstruct", "--set", f'scan_file="{path}"', "--set", "basis.ell_max=1"]) == EXIT_DATA
     assert f"line 4: {defect}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["rank-analysis", "--set", "z_max=2"]])
+def test_cli_far_extent_runs(tmp_path, capsys, command):
+    """At extent 1e100 every pixel but the centre one sees exp(-2 rr^2) = 0 and rr^|l| = inf."""
+    far = ["basis.ell_max=7", "geometry.n_pixels_per_side=3", "geometry.extent=1e100"]
+    assert main([*command, "--out", str(tmp_path), *(a for f in far for a in ("--set", f))]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_cli_validate_state_file(tmp_path, capsys):

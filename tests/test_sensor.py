@@ -465,19 +465,23 @@ def test_scan_csv_roundtrip(tmp_path):
 
 def test_scan_csv_bytes_match_row_by_row_writer(tmp_path):
     geom = ScanGeometry(6, 2.5, (0.0, 1 / 3, 2.0))
-    values = np.random.default_rng(9).uniform(size=geom.n_pixels * 3) ** 5
-    values[:4] = (0.0, 1e-300, 5e-324, 123456789.125)
-    scan = IntensityScan(geom, values)
-    path = tmp_path / "scan.csv"
-    write_scan_csv(path, scan)
-    rows = [SCAN_HEADER]
-    idx = 0
-    for j, zeta in enumerate(geom.planes):
-        for py in range(geom.n_pixels_per_side):
-            for px in range(geom.n_pixels_per_side):
-                rows.append(f"{j},{float(zeta)!r},{px},{py},{float(values[idx])!r}")
-                idx += 1
-    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+    distinct = np.random.default_rng(9).uniform(size=geom.n_pixels * 3) ** 5
+    distinct[:5] = (0.0, 1e-300, 5e-324, 123456789.125, -0.0)
+    # photon counts: few distinct values, each formatted once; 0.0 and -0.0 must stay apart
+    counts = np.random.default_rng(9).poisson(3.0, size=geom.n_pixels * 3) / 7.0
+    counts[:4] = (-0.0, 0.0, 5e-324, 1e-300)
+    for values in (distinct, counts):
+        path = tmp_path / "scan.csv"
+        write_scan_csv(path, IntensityScan(geom, values))
+        rows = [SCAN_HEADER]
+        idx = 0
+        for j, zeta in enumerate(geom.planes):
+            for py in range(geom.n_pixels_per_side):
+                for px in range(geom.n_pixels_per_side):
+                    rows.append(f"{j},{float(zeta)!r},{px},{py},{float(values[idx])!r}")
+                    idx += 1
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert read_scan_csv(path, extent=2.5).values.tobytes() == values.tobytes()  # bit for bit, -0.0 included
 
 
 def test_scan_csv_rejects_bad_header(tmp_path):
@@ -542,3 +546,79 @@ def test_scan_csv_rejects_negative_value(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ScanFormatError, match="line 5: negative value -0.5"):
         read_scan_csv(path)
+
+
+def _edit(lines: list[str], line: int, field: int, text: str) -> list[str]:
+    """lines with field ``field`` of file line ``line`` (lines[line - 1]) replaced by ``text``."""
+    fields = lines[line - 1].split(",")
+    fields[field] = text
+    return lines[: line - 1] + [",".join(fields)] + lines[line:]
+
+
+ODD_VALID_FILES = {
+    "whitespace-only line": lambda lines: "\n".join(lines[:4] + ["  \t "] + lines[4:]) + "\n",
+    "CRLF line ends": lambda lines: "\r\n".join(lines) + "\r\n",
+    "signed and spaced integers": lambda lines: "\n".join(_edit(_edit(lines, 3, 2, "+1"), 4, 3, " 0 ")) + "\n",
+    "underscores in numbers": lambda lines: "\n".join(_edit(_edit(lines, 11, 1, "0_1.0"), 12, 2, "0_1")) + "\n",
+    "no final newline": lambda lines: "\n".join(lines),
+    "trailing blank line": lambda lines: "\n".join(lines) + "\n\n",
+    # whitespace to int(), but str.splitlines ends a line at each of them
+    "form feed, NEL and line separator": lambda lines: "\n".join(
+        _edit(_edit(_edit(lines, 5, 2, "0\x0c"), 6, 2, "1\u2028"), 7, 2, "\x852")
+    )
+    + "\n",
+}
+
+
+@pytest.mark.parametrize("make", ODD_VALID_FILES.values(), ids=ODD_VALID_FILES.keys())
+def test_scan_csv_reads_odd_but_valid_files(tmp_path, make):
+    lines = _small_scan_lines(tmp_path)
+    scan = read_scan_csv(tmp_path / "scan.csv")
+    path = tmp_path / "odd.csv"
+    path.write_bytes(make(lines).encode())
+    odd = read_scan_csv(path)
+    assert odd.values.tobytes() == scan.values.tobytes()
+    assert odd.geometry == scan.geometry
+
+
+REJECTED_FILES = {
+    "comment after a value": (lambda lines: _edit(lines, 5, 4, "4.0 # c"), "line 5: could not convert"),
+    "quoted value": (lambda lines: _edit(lines, 5, 4, '"4.0"'), "line 5: could not convert"),
+    "float pixel index": (lambda lines: _edit(lines, 7, 2, "1.0"), "line 7: invalid literal for int()"),
+    "trailing comma": (lambda lines: lines[:3] + [lines[3] + ","] + lines[4:], "line 4: expected 5 fields, got 6"),
+    "separator around a number": (lambda lines: _edit(lines, 6, 2, "\x1c1"), "line 6: invalid literal for int()"),
+    "pixel index beyond int64": (
+        lambda lines: _edit(lines, 8, 3, "99999999999999999999"),
+        "line 8: pixel index (0, 99999999999999999999) does not fit in 64 bits",
+    ),
+    "plane index beyond int64": (
+        lambda lines: _edit(lines, 8, 0, "-99999999999999999999"),
+        "line 8: inconsistent plane index/position",
+    ),
+    "pixel index at the int64 limit": (
+        lambda lines: _edit(lines, 8, 2, str(2**63 - 1)),
+        f"expected {2 * 2**126} data rows for a {2**63}x{2**63} grid over 2 plane(s), got 18",
+    ),
+    "plane defect before a field defect": (
+        lambda lines: _edit(_edit(lines, 3, 1, "0.5"), 8, 4, "x"),
+        "line 8: could not convert string to float: 'x\\n'",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, message", REJECTED_FILES.values(), ids=REJECTED_FILES.keys())
+def test_scan_csv_rejects_on_its_line(tmp_path, make, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(make(_small_scan_lines(tmp_path))) + "\n")
+    with pytest.raises(ScanFormatError) as info:
+        read_scan_csv(path)
+    assert message in str(info.value)
+
+
+def test_map_of_a_far_extent_is_finite():
+    """Where exp(-2 rr^2) underflows to 0, rr^|l| overflows: such a pixel's functional is an exact 0."""
+    mmap = build_measurement_map(ModeBasis.symmetric_span(7), ScanGeometry(3, 1e100, (0.0, 1.0)))
+    assert np.isfinite(mmap.matrix).all()
+    pixels = mmap.matrix.reshape(2, 9, -1)
+    assert np.count_nonzero(pixels[:, np.arange(9) != 4]) == 0  # only the centre pixel sees light
+    assert independent_detections(mmap) == 1
