@@ -304,12 +304,19 @@ def _make_state(spec: ExperimentSpec, basis: ModeBasis, rank: int, seed: int) ->
     return rho
 
 
+def _in_spec(field: str, call: Callable, *args):
+    """call(*args), with its ValueError a spec error in ``field``: a valid spec reaches one in
+    a simulation or a solve only through a geometry that sees too little light."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise SpecValidationError([f"{field}: {exc}"]) from exc
+
+
 def _simulate(spec: ExperimentSpec, rho: DensityMatrix, mmap: MeasurementMap, seed: int) -> IntensityScan:
     """The run's scan of rho; a geometry that Poisson noise cannot draw from is a spec error."""
-    try:
-        return simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
-    except ValueError as exc:
-        raise SpecValidationError([f"noise.kind {spec.noise_kind!r}: {exc}"]) from exc
+    noise = (spec.noise_kind, spec.photon_budget, seed)
+    return _in_spec(f"noise.kind {spec.noise_kind!r}", simulate_scan, rho, mmap, *noise)
 
 
 def _map_cells(spec: ExperimentSpec, cell_fn, cells: list) -> list:
@@ -351,7 +358,7 @@ def _error_cell(args) -> dict:
         seed = derive_seed(spec.seed, spec.ell_max, z, rank, trial)
         rho = _make_state(spec, basis, rank, seed)
         scan = _simulate(spec, rho, mmap, seed)
-        rep_pos = reconstruct_positive(mmap, scan, spec.solver)
+        rep_pos = _in_spec(f"geometry.extent {spec.extent!r}", reconstruct_positive, mmap, scan, spec.solver)
         if spec.strict and not rep_pos.converged:
             raise NonConvergenceError(
                 f"positive-branch solver did not converge (ell_max={spec.ell_max}, Z={z}, "
@@ -392,7 +399,8 @@ def _entropy_cell(args) -> dict:
     """The CSV row of one (Z, branch) sweep cell: its states' entropy moments."""
     spec, z, branch = args
     mmap, inputs = entropy_cell_inputs(spec, z)
-    entropies = [uniqueness_entropy(mmap, scan, cfg, branch=branch) for scan, cfg in inputs]
+    dark = f"geometry.extent {spec.extent!r}"  # the field at fault when the map sees no light
+    entropies = [_in_spec(dark, uniqueness_entropy, mmap, scan, cfg, branch) for scan, cfg in inputs]
     row = {"Z": z, "branch": branch, "n_states": spec.n_states}
     return row | _moments("entropy", f"Z={z}, branch={branch}", entropy=entropies)
 
@@ -408,7 +416,11 @@ def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
     scan = read_scan_csv(spec.scan_file, extent=spec.extent)
     basis = spec.basis()
     mmap = build_measurement_map(basis, scan.geometry)
-    rep = reconstruct_positive(mmap, scan, spec.solver)
+    try:
+        rep = reconstruct_positive(mmap, scan, spec.solver)
+    except ValueError as exc:  # as with an extent that gives no pixel area, the extent does not fit the file
+        n = scan.geometry.n_pixels_per_side
+        raise ScanFormatError(f"extent {spec.extent!r} on the file's {n}x{n} grid: {exc}") from exc
     if spec.strict and not rep.converged:
         raise NonConvergenceError("reconstruction did not converge")
     n_det = independent_detections(mmap)

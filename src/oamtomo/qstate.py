@@ -126,13 +126,6 @@ class DensityMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
-
 
 @functools.cache
 def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,10 @@ real matrix A acting on the Hermitian coordinates of states. The planes
 differ only through the Gouy phases, which enter a pair of modes a, b as
 e^{i (|l_a| - |l_b|) arctan(zeta)}: each plane's block is the Gouy-free
 block at the waist with every (Re, Im) coordinate pair turned by that
-angle (:func:`_turn`). The map is built and factored through this structure,
-and through the grid's quarter-turn symmetry, which splits the factorization
-into three classes of coordinates (:attr:`MeasurementMap.svd`).
+angle (:func:`_turn`). The map never forms A: it keeps only its factors, taken
+through this structure and through the grid's quarter-turn symmetry, which
+splits the factorization into three classes of coordinates and needs the
+Gouy-free block at one pixel per orbit (:attr:`MeasurementMap.svd`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -122,9 +123,10 @@ class MapFactors(NamedTuple):
     """Thin SVD of a measurement map whose m-row left factor stays implicit.
 
     A = blockdiag(q, ..., q) @ u @ diag(s) @ vt[:len(s)]: q has orthonormal
-    columns spanning the first plane's block, u holds the left singular
-    vectors of the small stack [q^T A_j]_j, s is descending, and vt is square
-    (d^2 x d^2), so its rows past the numerical rank span the null space of A.
+    columns spanning the Gouy-free block, and so every plane's block, u holds
+    the left singular vectors of the small stack [q^T A_j]_j, s is descending,
+    and vt is square (d^2 x d^2), so its rows past the numerical rank span the
+    null space of A.
     """
 
     q: np.ndarray
@@ -137,70 +139,75 @@ class MapFactors(NamedTuple):
 class MeasurementMap:
     """Real matrix A with A @ coords(rho) = stacked pixel probabilities.
 
-    A is built from the basis and the geometry alone: plane zeta's block is
-    the Gouy-free block at the waist turned by the Gouy rotation
-    R(arctan zeta), rows ordered plane-major with row-major pixels. The map
-    factors itself once, on first use of :attr:`svd`, and keeps the factors
-    for as long as it lives; :meth:`least_squares` and
+    A is fixed by the basis and the geometry alone: plane zeta's block is the
+    Gouy-free block at the waist turned by the Gouy rotation R(arctan zeta),
+    rows ordered plane-major with row-major pixels. The map keeps A only as
+    its factors, which it takes once, on first use of :attr:`svd`, and keeps
+    for as long as it lives; :meth:`apply`, :meth:`least_squares` and
     :func:`independent_detections` share them.
     """
 
     basis: ModeBasis
     geometry: ScanGeometry
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        geom = self.geometry
-        object.__setattr__(self, "matrix", np.empty((geom.n_planes * geom.n_pixels, self.basis.dim**2)))
-        free = _gouy_free_block(self.basis, geom)
-        for block, zeta in zip(self._blocks(), geom.planes):
-            _turn(free, self.basis, math.atan(zeta), out=block)
-        self.matrix.setflags(write=False)
-
-    def _blocks(self) -> np.ndarray:
-        """A as a (planes, pixels, d^2) view."""
-        return self.matrix.reshape(self.geometry.n_planes, self.geometry.n_pixels, -1)
+    @property
+    def matrix(self) -> np.ndarray:
+        """A, formed from the factors anew on each read and read-only; the library never reads it."""
+        q, u, s, vt = self.svd
+        small = ((u * s) @ vt[: len(s)]).reshape(self.geometry.n_planes, q.shape[1], -1)
+        a = (q @ small).reshape(-1, vt.shape[1])
+        a.setflags(write=False)
+        return a
 
     def apply(self, rho: DensityMatrix) -> np.ndarray:
-        return self.matrix @ hermitian_to_coords(rho.entries)
+        """A @ coords(rho): with c = u diag(s) vt coords(rho), plane j's rows are q c_j."""
+        q, u, s, vt = self.svd
+        c = u @ (s * (vt[: len(s)] @ hermitian_to_coords(rho.entries)))
+        return (c.reshape(self.geometry.n_planes, -1) @ q.T).ravel()
 
     @functools.cached_property
     def svd(self) -> MapFactors:
         """Read-only factors of A, one frequency class at a time.
 
-        Over the grid's quarter-turn orbits, the first block's rows of each
-        class see only that class's coordinates: B_c = Q_c T_c by a thin QR,
-        q holds each Q_c put back on the orbit pixels, and the SVD of the stack
-        [T_c R(zeta_0)^T R(zeta_j)]_j gives the class's share of u, s and vt.
-        The shares are merged by descending s; null rows of vt follow them.
+        A quarter turn of the grid keeps the diagonal coordinates and turns the
+        pair a < b by i^(l_a - l_b): the Gouy-free rows at the pixels R^k x of
+        an orbit are the row at x turned k times. So the block is evaluated at
+        one pixel per orbit, and over the orbits each class's rows of
+        _ORBIT_ROWS see only its coordinates: B_c = Q_c T_c by a thin QR, q
+        holds each Q_c put back on the orbit pixels, and the SVD of the stack
+        [T_c R(zeta_j)]_j gives the class's share of u, s and vt. The shares
+        are merged by descending s; null rows of vt follow them.
         """
-        n, first, d2 = self.geometry.n_pixels_per_side, self._blocks()[0], self.matrix.shape[1]
+        n, d, d2 = self.geometry.n_pixels_per_side, self.basis.dim, self.basis.dim**2
         grid = np.arange(n * n).reshape(n, n)  # np.rot90(grid, k)[iy, ix] is pixel R^k (iy, ix)
         orbits = np.array([np.rot90(grid, k)[: n // 2, : (n + 1) // 2].ravel() for k in range(4)])
-        ells, (iu, ju) = np.array(self.basis.ells), _triu(self.basis.dim)
-        m = np.concatenate([np.zeros(self.basis.dim, int), np.repeat(ells[iu] - ells[ju], 2)]) % 4
+        centre = np.arange(n * n // 2, n * n // 2 + n % 2)  # the centre pixel of an odd grid, in class 0
+        free = _gouy_free_block(self.basis, self.geometry, np.concatenate([orbits[0], centre]))
+        reps, alone = free[: orbits.shape[1]], free[orbits.shape[1] :]
+        ells, (iu, ju) = np.array(self.basis.ells), _triu(d)
+        quarter = np.array([1, 1j, -1, -1j])[np.outer(range(4), ells[iu] - ells[ju]) % 4]  # i^(k (l_a - l_b))
+        m = np.concatenate([np.zeros(d, int), np.repeat(ells[iu] - ells[ju], 2)]) % 4
         classes = [np.flatnonzero(m == 0), np.flatnonzero(m == 2), np.flatnonzero(m % 2)]
-        alone = ([n * n // 2] * (n % 2), [], [])  # the centre pixel of an odd grid, in class 0
-        classes = [c for c in zip(classes, np.split(_ORBIT_ROWS, [1, 2]), alone) if len(c[0])]
+        classes = [c for c in zip(classes, np.split(_ORBIT_ROWS, [1, 2]), (centre, [], [])) if len(c[0])]
         widths = [min(len(w) * orbits.shape[1] + len(pixel), len(cols)) for cols, w, pixel in classes]
-        angles = [math.atan(zeta) - math.atan(self.geometry.planes[0]) for zeta in self.geometry.planes]
-        turns = [_turn(np.eye(d2), self.basis, angle) for angle in angles]  # R(zeta_0)^T R(zeta_j)
-        ranks = [min(len(turns) * k, len(cols)) for (cols, _, _), k in zip(classes, widths)]
-        q, u = np.zeros((n * n, sum(widths))), np.zeros((len(turns), sum(widths), sum(ranks)))
+        ranks = [min(self.geometry.n_planes * k, len(cols)) for (cols, _, _), k in zip(classes, widths)]
+        q, u = np.zeros((n * n, sum(widths))), np.zeros((self.geometry.n_planes, sum(widths), sum(ranks)))
         s, vt = np.zeros(sum(ranks)), np.zeros((d2, d2))
         col, row, null = 0, 0, sum(ranks)  # the class's first column of q, ranked row and null row of vt
         for (cols, w, pixel), k, rank in zip(classes, widths, ranks):
-            block = first[np.ix_(orbits.ravel(), cols)].reshape(orbits.shape + (len(cols),))
-            block = np.tensordot(w, block, 1).reshape(-1, len(cols))
-            block = np.vstack([block, first[np.ix_(pixel, cols)]])
+            block = np.empty((len(w),) + reps.shape)  # sum_k w_k (row at R^k x) for each representative x
+            block[..., :d] = w.sum(axis=1)[:, None, None] * reps[:, :d]
+            np.multiply((w @ quarter)[:, None], reps[:, d:].view(complex), out=block[..., d:].view(complex))
+            block = np.vstack([*block[..., cols], alone[: len(pixel), cols]])  # B_c; the full-width sums go
             qc, tc = np.linalg.qr(block)
-            del block  # each copy of B_c is dropped once the next exists, for a low peak memory
             on_orbits = qc[: len(qc) - len(pixel)].reshape(len(w), orbits.shape[1], k)
             q[orbits, col : col + k] = np.tensordot(w.T, on_orbits, 1)
             q[pixel, col : col + k] = qc[len(qc) - len(pixel) :]
-            stack = np.vstack([tc @ turn[np.ix_(cols, cols)] for turn in turns])
+            t = np.zeros((k, d2))
+            t[:, cols] = tc  # each class holds whole pairs, so the turns keep the classes apart
+            stack = np.vstack([_turn(t, self.basis, math.atan(zeta))[:, cols] for zeta in self.geometry.planes])
             uc, s[row : row + rank], vc = np.linalg.svd(stack, full_matrices=len(stack) < len(cols))
-            u[:, col : col + k, row : row + rank] = uc.reshape(len(turns), k, rank)
+            u[:, col : col + k, row : row + rank] = uc.reshape(self.geometry.n_planes, k, rank)
             vt[row : row + rank, cols] = vc[:rank]
             vt[null : null + len(cols) - rank, cols] = vc[rank:]
             col, row, null = col + k, row + rank, null + len(cols) - rank
@@ -273,7 +280,7 @@ def _norm(ell: int) -> float:
     return math.sqrt(2.0 ** (abs(ell) + 1) / (math.pi * math.factorial(abs(ell))))
 
 
-def _turn(x: np.ndarray, basis: ModeBasis, angle: float, out: np.ndarray | None = None) -> np.ndarray:
+def _turn(x: np.ndarray, basis: ModeBasis, angle: float) -> np.ndarray:
     """x R(angle) for rows x of Hermitian coordinates.
 
     R keeps the diagonal coordinates and turns the (Re, Im) pair of modes
@@ -287,8 +294,7 @@ def _turn(x: np.ndarray, basis: ModeBasis, angle: float, out: np.ndarray | None 
     ells = np.abs(basis.ells)
     iu, ju = _triu(d)
     x = np.ascontiguousarray(x)
-    if out is None:
-        out = np.empty_like(x)
+    out = np.empty_like(x)
     out[..., :d] = x[..., :d]
     turn = np.exp(1j * (ells[iu] - ells[ju]) * angle)
     np.multiply(x[..., d:].view(complex), turn, out=out[..., d:].view(complex))
@@ -303,8 +309,9 @@ _ORBIT_ROWS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 0, -1, 0], [0, 1, 0, -
 _ORBIT_ROWS = _ORBIT_ROWS / np.linalg.norm(_ORBIT_ROWS, axis=1, keepdims=True)
 
 
-def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry) -> np.ndarray:
-    """Rows of A at the waist (zeta = 0): n_pixels x d^2, in Hermitian coordinates.
+def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry, pixels: np.ndarray) -> np.ndarray:
+    """Rows of A at the waist (zeta = 0) for the given flat pixel indices: len(pixels) x d^2,
+    in Hermitian coordinates.
 
     With the mode amplitudes g_a = N_a rr^{|l_a|} e^{-i l_a phi}, the pixel
     functional of diagonal coordinate a is env |g_a|^2, and the pair a < b
@@ -314,7 +321,7 @@ def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry) -> np.ndarray:
     """
     d = basis.dim
     ells = np.array(basis.ells)
-    xx, yy = geometry.pixel_centers()
+    xx, yy = (c[pixels] for c in geometry.pixel_centers())
     rr = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
     env = np.exp(-2.0 * rr * rr) * geometry.pixel_area
@@ -338,8 +345,8 @@ def build_measurement_map(basis: ModeBasis, geometry: ScanGeometry) -> Measureme
 def independent_detections(mmap: MeasurementMap) -> int:
     """Numerical rank of A: the map's singular values above DETECTION_TOL * sigma_max.
 
-    With the first block A_0 = Q T, this is n_Z = rank [T R(zeta_1); ...;
-    T R(zeta_Z)] (rotations relative to the first plane), whose SVD
+    With the Gouy-free block B = Q T, so that plane j's block is B R(zeta_j),
+    this is n_Z = rank [T R(zeta_1); ...; T R(zeta_Z)], whose SVD
     :attr:`MeasurementMap.svd` takes class by class. Every R fixes the diagonal
     coordinates and the (l, -l) pairs, where |l_a| = |l_b|, and on that
     subspace all planes see the same Gouy-free block. So no added plane can

@@ -441,6 +441,8 @@ def test_cli_bad_set_exits_2(capsys):
         ("reconstruct", ["solver.multistart=1", "compute_entropy=true"], "solver.multistart must be at least 2"),
         ("simulate", [*DARK, "noise.kind=poisson", "noise.photon_budget=1e6"], "receives no light"),
         ("error-sweep", [*DARK, "noise.kind=poisson", "noise.photon_budget=1e6"], "receives no light"),
+        ("error-sweep", DARK, "geometry.extent 100.0: measurement map is identically zero"),
+        ("entropy-sweep", DARK, "geometry.extent 100.0: measurement map is identically zero"),
         ("simulate", [*TINY, "geometry.extent=1e300"], "positive finite pixel area, got 1e+300"),
         ("simulate", [*TINY, "geometry.extent=1e-300"], "positive finite pixel area, got 1e-300"),
         ("error-sweep", ["geometry.planes=[0,1]", "z_values=[1,3]"], "Z = 3 needs more planes than"),
@@ -481,6 +483,8 @@ def test_cli_bad_set_exits_2(capsys):
         "reconstruct entropy with one start",
         "poisson scan of a dark geometry",
         "poisson sweep of a dark geometry",
+        "noiseless error sweep of a dark geometry",
+        "noiseless entropy sweep of a dark geometry",
         "pixel area overflows",
         "pixel area underflows",
         "sweep Z beyond the explicit planes",
@@ -590,6 +594,14 @@ MALFORMED_FILES = {
             + "".join(f"0,0.0,{px},{py},0.5\n" for py in range(101) for px in range(101))
         ),
         "extent 2.1e-161 gives no positive finite pixel area on the file's 101x101 grid",
+        EXIT_DATA,
+    ),
+    "extent leaves every pixel of the file's grid dark": (
+        "reconstruct --set geometry.extent=100",
+        lambda p: p.write_text(
+            "plane_index,zeta,px,py,value\n" + "".join(f"0,0.0,{i % 2},{i // 2},0.0\n" for i in range(4))
+        ),
+        "extent 100.0 on the file's 2x2 grid: measurement map is identically zero",
         EXIT_DATA,
     ),
 }

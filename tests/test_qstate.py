@@ -97,7 +97,7 @@ def test_unit_norm_maps_to_unit_coords():
 def test_random_state_rank1_is_pure():
     b = ModeBasis.symmetric_span(7)
     rho = random_state(b, 1, seed=7)
-    assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+    assert np.trace(rho.entries @ rho.entries).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_random_state_full_rank():

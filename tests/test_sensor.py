@@ -314,7 +314,7 @@ def test_factorization_matches_dense_svd(basis, geom):
     values, so U_k^T p is compared through the basis-free fitted part
     U_k U_k^T p and its norm."""
     mmap = build_measurement_map(basis, geom)
-    A = mmap.matrix
+    A = np.vstack([_per_pair_block(basis, geom, zeta) for zeta in geom.planes])
     u_dense, s_dense, _ = np.linalg.svd(A, full_matrices=False)
     q, u, s, vt = mmap.svd
     assert vt.shape == (basis.dim**2, basis.dim**2)
@@ -353,7 +353,8 @@ def test_map_factors_are_orthonormal_and_split_by_class(basis, geom):
     q, u, s, vt = mmap.svd
     small = ((u * s) @ vt[: len(s)]).reshape(geom.n_planes, q.shape[1], -1)
     rebuilt = np.vstack([q @ block for block in small])
-    assert np.max(np.abs(rebuilt - mmap.matrix)) <= 1e-13 * np.max(np.abs(mmap.matrix))
+    reference = np.vstack([_per_pair_block(basis, geom, zeta) for zeta in geom.planes])
+    assert np.max(np.abs(rebuilt - reference)) <= 1e-13 * np.max(np.abs(reference))
     assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-13
     assert np.max(np.abs(vt @ vt.T - np.eye(len(vt)))) <= 1e-13
     assert np.all(np.diff(s) <= 0)
@@ -374,19 +375,20 @@ def test_map_is_built_from_basis_and_geometry_only():
     assert mmap == build_measurement_map(basis, geom)
 
 
-def test_first_solve_forms_no_second_map():
-    """Factoring a camera map and solving on it allocate well under one more
-    m x d^2 array: the m-row left singular factor is never formed."""
+def test_camera_map_simulation_and_solve_never_form_a():
+    """Building a camera map, simulating a scan and solving on it allocate well
+    under one m x d^2 array: neither A nor its m-row left singular factor is formed."""
     basis = ModeBasis.symmetric_span(4)
-    mmap = build_measurement_map(basis, ScanGeometry.default(4, n_pixels_per_side=101))
-    scan = simulate_scan(random_state(basis, 2, seed=3), mmap)
+    geom = ScanGeometry.default(4, n_pixels_per_side=101)
+    rho = random_state(basis, 2, seed=3)
     tracemalloc.start()
     try:
-        reconstruct_positive(mmap, scan)
+        mmap = build_measurement_map(basis, geom)
+        reconstruct_positive(mmap, simulate_scan(rho, mmap))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.75 * mmap.matrix.nbytes
+    assert peak < 0.75 * geom.n_planes * geom.n_pixels * basis.dim**2 * 8
 
 
 # ------------------------------------------------------------------ simulate
