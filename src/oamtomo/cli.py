@@ -60,22 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oamtomo",
         description="Compressive tomography of OAM photon states from intensity scans.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--spec", help="JSON experiment spec file")
-        cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--seed", type=int, help="master seed override")
-        cmd.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
-        cmd.add_argument("--strict", action="store_true", help="fail on non-convergence")
-        cmd.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a spec field (dotted path, JSON value)",
-        )
+    parser.add_argument("command", choices=_SUBCOMMANDS, help="the experiment to run")
+    parser.add_argument("--spec", help="JSON experiment spec file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, help="master seed override")
+    parser.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
+    parser.add_argument("--strict", action="store_true", help="fail on non-convergence")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a spec field (dotted path, JSON value)",
+    )
     return parser
 
 

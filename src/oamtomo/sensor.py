@@ -16,7 +16,7 @@ real matrix A acting on the Hermitian coordinates of states. The planes
 differ only through the Gouy phases, which enter a pair of modes a, b as
 e^{i (|l_a| - |l_b|) arctan(zeta)}: each plane's block is the Gouy-free
 block at the waist with every (Re, Im) coordinate pair turned by that
-angle (:func:`_turn`). The map never forms A: it keeps only its factors, taken
+angle. The map never forms A: it keeps only its factors, taken
 through this structure and through the grid's quarter-turn symmetry, which
 splits the factorization into three classes of coordinates and needs the
 Gouy-free block at one pixel per orbit (:attr:`MeasurementMap.svd`).
@@ -36,7 +36,6 @@ import numpy as np
 from .qstate import DensityMatrix, ModeBasis, _triu, hermitian_to_coords
 
 __all__ = [
-    "DEFAULT_PLANE_POOL",
     "ScanGeometry",
     "MeasurementMap",
     "IntensityScan",
@@ -178,7 +177,7 @@ class MeasurementMap:
         [T_c R(zeta_j)]_j gives the class's share of u, s and vt. The shares
         are merged by descending s; null rows of vt follow them.
         """
-        n, d, d2 = self.geometry.n_pixels_per_side, self.basis.dim, self.basis.dim**2
+        n, d = self.geometry.n_pixels_per_side, self.basis.dim
         grid = np.arange(n * n).reshape(n, n)  # np.rot90(grid, k)[iy, ix] is pixel R^k (iy, ix)
         orbits = np.array([np.rot90(grid, k)[: n // 2, : (n + 1) // 2].ravel() for k in range(4)])
         centre = np.arange(n * n // 2, n * n // 2 + n % 2)  # the centre pixel of an odd grid, in class 0
@@ -186,13 +185,15 @@ class MeasurementMap:
         reps, alone = free[: orbits.shape[1]], free[orbits.shape[1] :]
         ells, (iu, ju) = np.array(self.basis.ells), _triu(d)
         quarter = np.array([1, 1j, -1, -1j])[np.outer(range(4), ells[iu] - ells[ju]) % 4]  # i^(k (l_a - l_b))
+        gouy = np.abs(ells)[iu] - np.abs(ells)[ju]  # the pair a < b turns by gouy * arctan(zeta) at zeta
+        angles = np.array([[math.atan(zeta)] for zeta in self.geometry.planes])
         m = np.concatenate([np.zeros(d, int), np.repeat(ells[iu] - ells[ju], 2)]) % 4
         classes = [np.flatnonzero(m == 0), np.flatnonzero(m == 2), np.flatnonzero(m % 2)]
         classes = [c for c in zip(classes, np.split(_ORBIT_ROWS, [1, 2]), (centre, [], [])) if len(c[0])]
         widths = [min(len(w) * orbits.shape[1] + len(pixel), len(cols)) for cols, w, pixel in classes]
         ranks = [min(self.geometry.n_planes * k, len(cols)) for (cols, _, _), k in zip(classes, widths)]
         q, u = np.zeros((n * n, sum(widths))), np.zeros((self.geometry.n_planes, sum(widths), sum(ranks)))
-        s, vt = np.zeros(sum(ranks)), np.zeros((d2, d2))
+        s, vt = np.zeros(sum(ranks)), np.zeros((d * d, d * d))
         col, row, null = 0, 0, sum(ranks)  # the class's first column of q, ranked row and null row of vt
         for (cols, w, pixel), k, rank in zip(classes, widths, ranks):
             block = np.empty((len(w),) + reps.shape)  # sum_k w_k (row at R^k x) for each representative x
@@ -203,9 +204,12 @@ class MeasurementMap:
             on_orbits = qc[: len(qc) - len(pixel)].reshape(len(w), orbits.shape[1], k)
             q[orbits, col : col + k] = np.tensordot(w.T, on_orbits, 1)
             q[pixel, col : col + k] = qc[len(qc) - len(pixel) :]
-            t = np.zeros((k, d2))
-            t[:, cols] = tc  # each class holds whole pairs, so the turns keep the classes apart
-            stack = np.vstack([_turn(t, self.basis, math.atan(zeta))[:, cols] for zeta in self.geometry.planes])
+            diag = np.count_nonzero(cols < d)  # cols: diagonal coordinates, then whole (Re, Im) pairs
+            stack = np.empty((self.geometry.n_planes, k, len(cols)))  # T_c R(zeta_j), plane by plane
+            stack[..., :diag] = tc[:, :diag]
+            turns = np.exp(1j * gouy[(cols[diag::2] - d) // 2] * angles)
+            np.multiply(tc[:, diag:].view(complex), turns[:, None], out=stack[..., diag:].view(complex))
+            stack = stack.reshape(-1, len(cols))
             uc, s[row : row + rank], vc = np.linalg.svd(stack, full_matrices=len(stack) < len(cols))
             u[:, col : col + k, row : row + rank] = uc.reshape(self.geometry.n_planes, k, rank)
             vt[row : row + rank, cols] = vc[:rank]
@@ -228,12 +232,16 @@ class MeasurementMap:
         is never formed: with c_j = q^T p_j, 2 f_res is the sum over the planes
         of ||p_j - q c_j||^2 plus ||c - u_k b||^2. These residuals are taken
         directly, so f_res, the objective and its gradient W^T (W x - b) have no
-        cancellation, however small the residual is.
+        cancellation, however small the residual is. Raises ValueError when the
+        map keeps no singular value (s_max = 0): no pixel sees light, and every
+        estimator reads the map through this model.
         """
         if scan.geometry != self.geometry:
             raise ValueError(f"scan geometry {scan.geometry} does not match the map's {self.geometry}")
         q, u, s, vt = self.svd
         k = int(np.sum(s > SVD_RCOND * s[0]))
+        if k == 0:
+            raise ValueError("measurement map is identically zero: no pixel sees light")
         planes = scan.values.reshape(self.geometry.n_planes, -1)
         c = planes @ q
         b = u[:, :k].T @ c.ravel()
@@ -278,27 +286,6 @@ class IntensityScan:
 
 def _norm(ell: int) -> float:
     return math.sqrt(2.0 ** (abs(ell) + 1) / (math.pi * math.factorial(abs(ell))))
-
-
-def _turn(x: np.ndarray, basis: ModeBasis, angle: float) -> np.ndarray:
-    """x R(angle) for rows x of Hermitian coordinates.
-
-    R keeps the diagonal coordinates and turns the (Re, Im) pair of modes
-    a < b by (|l_a| - |l_b|) * angle, the Gouy phase difference of the pair
-    at arctan(zeta) = angle. R is orthogonal and R(a) R(b) = R(a + b), so
-    R(angle) v for a column v is _turn(v, basis, -angle). The pairs sit side
-    by side after the d diagonal coordinates, so each row's tail is read as
-    complex numbers and the turn is one multiplication by e^{i shift}.
-    """
-    d = basis.dim
-    ells = np.abs(basis.ells)
-    iu, ju = _triu(d)
-    x = np.ascontiguousarray(x)
-    out = np.empty_like(x)
-    out[..., :d] = x[..., :d]
-    turn = np.exp(1j * (ells[iu] - ells[ju]) * angle)
-    np.multiply(x[..., d:].view(complex), turn, out=out[..., d:].view(complex))
-    return out
 
 
 # Orthonormal rows over the values (f(x), f(Rx), f(R^2 x), f(R^3 x)) of a pixel
@@ -375,8 +362,8 @@ def simulate_scan(
     if noise == "none":
         return IntensityScan(mmap.geometry, p)
     if noise == "poisson":
-        if photon_budget is None or photon_budget <= 0:
-            raise ValueError("poisson noise requires a positive photon budget")
+        if photon_budget is None or not 0 < photon_budget < math.inf:
+            raise ValueError("poisson noise requires a positive finite photon budget")
         total = float(p.sum())
         scale = photon_budget / total if total > 0 else math.inf
         if math.isinf(scale):

@@ -158,8 +158,6 @@ def reconstruct_positive(
     d = mmap.basis.dim
     s, vt, b, f_res, x, _ = mmap.least_squares(scan)
     W = s[:, None] * vt
-    if W.shape[0] == 0:
-        raise ValueError("measurement map is identically zero: no pixel sees light")
     scale = float(np.linalg.norm(s * b)) or 1.0  # ||A^T p|| on the kept singular values
     tol = cfg.rel_tolerance
 

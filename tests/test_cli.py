@@ -376,6 +376,24 @@ def test_cli_rank_analysis(tmp_path, capsys):
     assert (tmp_path / "rank_analysis.csv").read_text() == "Z,n_detections\n1,6\n2,8\n"
 
 
+def test_cli_flags_before_the_command(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "--set", "basis.ell_max=1", "rank-analysis", "--set", "z_max=2"])
+    assert code == EXIT_OK
+    assert (tmp_path / "rank_analysis.csv").read_text() == "Z,n_detections\n1,6\n2,8\n"
+    capsys.readouterr()
+
+
+def test_cli_dark_geometry_counts_and_simulates(tmp_path, capsys):
+    """A map that sees no light has no detections and a noiseless all-zero scan:
+    true answers, not errors. Only a solve refuses such a map."""
+    dark = [a for f in DARK for a in ("--set", f)]
+    assert main(["rank-analysis", "--out", str(tmp_path), "--set", "z_max=2", *dark]) == EXIT_OK
+    assert "Z=2: n_Z=0" in capsys.readouterr().out
+    assert main(["simulate", "--out", str(tmp_path), *dark]) == EXIT_OK
+    capsys.readouterr()
+    assert not read_scan_csv(tmp_path / "scan.csv").values.any()
+
+
 def test_cli_invalid_spec_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, "spec.json", {"kind": "rank_analysis", "trials": -3})
     assert main(["rank-analysis", "--spec", spec]) == EXIT_SPEC
@@ -443,6 +461,11 @@ def test_cli_bad_set_exits_2(capsys):
         ("error-sweep", [*DARK, "noise.kind=poisson", "noise.photon_budget=1e6"], "receives no light"),
         ("error-sweep", DARK, "geometry.extent 100.0: measurement map is identically zero"),
         ("entropy-sweep", DARK, "geometry.extent 100.0: measurement map is identically zero"),
+        (
+            "entropy-sweep",
+            [*DARK, 'branches=["pseudoinverse"]'],
+            "geometry.extent 100.0: measurement map is identically zero",
+        ),
         ("simulate", [*TINY, "geometry.extent=1e300"], "positive finite pixel area, got 1e+300"),
         ("simulate", [*TINY, "geometry.extent=1e-300"], "positive finite pixel area, got 1e-300"),
         ("error-sweep", ["geometry.planes=[0,1]", "z_values=[1,3]"], "Z = 3 needs more planes than"),
@@ -485,6 +508,7 @@ def test_cli_bad_set_exits_2(capsys):
         "poisson sweep of a dark geometry",
         "noiseless error sweep of a dark geometry",
         "noiseless entropy sweep of a dark geometry",
+        "noiseless pseudoinverse entropy sweep of a dark geometry",
         "pixel area overflows",
         "pixel area underflows",
         "sweep Z beyond the explicit planes",

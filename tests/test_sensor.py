@@ -436,8 +436,9 @@ def test_simulate_rejects_bad_budget():
     basis = ModeBasis.symmetric_span(1)
     mmap = build_measurement_map(basis, ScanGeometry.default(1))
     rho = random_state(basis, 1, seed=0)
-    with pytest.raises(ValueError):
-        simulate_scan(rho, mmap, "poisson", photon_budget=0.0)
+    for budget in (None, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="poisson noise requires a positive finite photon budget"):
+            simulate_scan(rho, mmap, "poisson", photon_budget=budget)
 
 
 def test_noiseless_scan_total_is_stable():

@@ -299,6 +299,29 @@ def test_pseudoinverse_degenerate_trace_flagged():
     np.testing.assert_allclose(rep.estimate.entries, np.eye(3) / 3)
 
 
+DARK_CALLS = {
+    "least squares": lambda mmap, scan: mmap.least_squares(scan),
+    "positive": reconstruct_positive,
+    "pseudoinverse": reconstruct_pseudoinverse,
+    "positive multistart": lambda mmap, scan: multistart_estimates(mmap, scan, SolverConfig(multistart=2)),
+    "pseudoinverse multistart": lambda mmap, scan: multistart_estimates(
+        mmap, scan, SolverConfig(multistart=2), "pseudoinverse"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", DARK_CALLS.values(), ids=DARK_CALLS.keys())
+def test_dark_map_has_no_least_squares_model(call):
+    """Every estimator reads the map through its least-squares model, which
+    refuses a map with no singular value: there is nothing to solve."""
+    basis = ModeBasis.symmetric_span(1)
+    mmap = build_measurement_map(basis, ScanGeometry(2, 100.0, (0.0, 1.0)))  # every pixel far outside the beams
+    scan = simulate_scan(random_state(basis, 1, seed=0), mmap)
+    assert independent_detections(mmap) == 0
+    with pytest.raises(ValueError, match="no pixel sees light"):
+        call(mmap, scan)
+
+
 # ------------------------------------------------------- uniqueness entropy
 
 
