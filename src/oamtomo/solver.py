@@ -29,7 +29,6 @@ import numpy as np
 
 from .qstate import (
     DensityMatrix,
-    _to_coords,
     _to_hermitian,
     coords_to_hermitian,
     hermitian_to_coords,
@@ -57,6 +56,12 @@ LM_RAISE = 4.0  # damping factor after a rejected step
 LM_MIN_SHRINK = 0.1  # smallest damping factor after an accepted step
 SLOW_GAIN = 0.25  # a step keeping more of the excess objective than this is slow
 TRIAL_STEPS = 5  # damped steps a narrower factor gets to beat the current objective
+# A Gauss-Newton step at a unique low-rank minimizer sends each spurious column
+# E of L to E/2, so a singular value of L that lands in this band of its value
+# before the step is halving. The band allows for the damping and the step's
+# second-order term; a wider one (0.3-0.7) also caught genuine columns that
+# were still converging, and cost the camera scans steps.
+HALVING = (0.4, 0.6)
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,17 @@ def _certificate(S: np.ndarray, X: np.ndarray, scale: float) -> tuple[float, flo
     return float(w[0]) / scale, comp / scale, v[:, 0]
 
 
+def _singular_values(L: np.ndarray) -> np.ndarray:
+    """Singular values of L in descending order, from its k x k Gram matrix."""
+    return np.sqrt(np.clip(np.linalg.eigvalsh(L.conj().T @ L)[::-1], 0.0, None))
+
+
+def _truncate(L: np.ndarray, j: int) -> np.ndarray:
+    """The best rank-j factor of L: its truncated SVD u[:, :j] sv[:j]."""
+    u, sv, _ = np.linalg.svd(L, full_matrices=False)
+    return u[:, :j] * sv[:j]
+
+
 def reconstruct_positive(
     mmap: MeasurementMap,
     scan: IntensityScan,
@@ -143,30 +159,36 @@ def reconstruct_positive(
     eigenvector (the Burer-Monteiro rank update, with an exact line search)
     competes with the damped step, and the larger decrease wins. A factor
     wider than the minimizer's rank makes the damped steps converge only
-    linearly, so when a step gains less than SLOW_GAIN the weakest column is
-    dropped on trial: the trial is kept if a few steps from the narrower
-    factor end below the current objective.
+    linearly. At a unique low-rank minimizer each step halves the spurious
+    columns, so the singular values of L are kept from step to step: once
+    the trailing ones have fallen into the HALVING band of their previous
+    values on two accepted steps in a row, L is cut to its leading columns
+    by a truncated SVD, unless that raises the objective. Slower columns go
+    on trial: when a step gains less than SLOW_GAIN the weakest column is
+    dropped, and the trial is kept if a few steps from the narrower factor
+    end below the current objective.
 
     ``converged`` is the first-order certificate of the module docstring with
     tol = rel_tolerance: X is a minimizer to that tolerance, not necessarily
-    the only one. Every step, trial steps included, counts toward
-    ``iterations_used`` and ``max_iterations``; ``objective_history`` holds
-    ||A x - p|| at the start and after each outer step. The metadata carry
-    both certificate values, ``stop_reason`` ("certified", "max_iterations"
-    or "stalled"), the number of steps and the final factor width.
+    the only one. Every damped step, trial steps included, counts toward
+    ``iterations_used`` and ``max_iterations``; a halving drop is not a step
+    and does not count. ``objective_history`` holds ||A x - p|| at the start
+    and after each outer step. The metadata carry both certificate values,
+    ``stop_reason`` ("certified", "max_iterations" or "stalled"), the number
+    of steps and the final factor width.
     """
     d = mmap.basis.dim
     s, vt, b, f_res, x, _ = mmap.least_squares(scan)
-    W = s[:, None] * vt
     scale = float(np.linalg.norm(s * b)) or 1.0  # ||A^T p|| on the kept singular values
     tol = cfg.rel_tolerance
+    M = _to_hermitian(s[:, None] * vt, d)  # (W x)_i = Tr(M_i X)
+    # W coords(H) = Wr @ H.view(float).ravel() for a Hermitian H, since Tr(M_i H) = <M_i, H>
+    Wr = M.reshape(len(M), -1).view(float)
 
     def state(L):
         Xn = L @ L.conj().T
-        r = W @ _to_coords(0.5 * (Xn + Xn.conj().T)) - b
+        r = Wr @ Xn.view(float).ravel() - b
         return Xn, r, 0.5 * float(r @ r) + f_res
-
-    M = _to_hermitian(W, d)  # (W x)_i = Tr(M_i X)
 
     def damped_step(L, cur, mu):
         """One accepted damped step from L and its decrease of f, or None."""
@@ -185,7 +207,7 @@ def reconstruct_positive(
             delta = -(J.T @ y) if wide else y
             D = (delta[: len(delta) // 2] + 1j * delta[len(delta) // 2 :]).reshape(L.shape)
             Jd = J @ delta
-            dr = Jd + W @ _to_coords(D @ D.conj().T)
+            dr = Jd + Wr @ (D @ D.conj().T).view(float).ravel()
             predicted = -float(Jd @ (r + 0.5 * Jd))  # decrease of 0.5 ||r||^2 in the model
             decrease = -float(dr @ (r + 0.5 * dr))  # and its exact decrease, no cancellation
             if predicted > 0 and decrease > 0:
@@ -202,23 +224,26 @@ def reconstruct_positive(
     history = [math.sqrt(max(2.0 * cur[2], 0.0))]
     mu = None
     failed_widths: set[int] = set()
+    sv = np.empty(0)
     steps = 0
     while True:
         X, r, f = cur
-        S = _to_hermitian(W.T @ r, d)
+        S = (r @ Wr).view(complex).reshape(d, d)
         eig, comp, v = _certificate(S, X, scale)
         converged = eig >= -tol and comp <= tol
         if converged or steps >= cfg.max_iterations:
             break
         steps += 1
         k = L.shape[1]
+        if len(sv) != k:  # the width changed: halvings count from here
+            sv, halved = _singular_values(L), np.zeros(k, dtype=bool)
         step = damped_step(L, cur, mu)
         step_gain = step[3] if step else 0.0
         rank_gain = 0.0
         if eig < -tol and k < d:
             D = np.outer(v, v.conj())
             slope = float(np.vdot(D, S).real)
-            rd = W @ _to_coords(D)
+            rd = Wr @ D.view(float).ravel()
             t = -slope / float(rd @ rd)
             rank_gain = -t * slope - 0.5 * t * t * float(rd @ rd)
         if rank_gain > step_gain:
@@ -228,9 +253,19 @@ def reconstruct_positive(
             break
         else:
             L, cur, mu, _ = step
+            prev, sv = sv, _singular_values(L)
+            now = (HALVING[0] * prev < sv) & (sv < HALVING[1] * prev)
+            twice, halved = halved & now, now
+            j = max(1, k - int(np.cumprod(twice[::-1]).sum()))  # the trailing columns from j on halved twice
+            if j < k:
+                cut = _truncate(L, j)
+                cut_state = state(cut)
+                if cut_state[2] <= cur[2]:
+                    L, cur, mu = cut, cut_state, None
+                    history.append(math.sqrt(max(2.0 * cur[2], 0.0)))
+                    continue
             if k > 1 and k not in failed_widths and cur[2] - f_res > SLOW_GAIN * (f - f_res):
-                u, sv, _ = np.linalg.svd(L, full_matrices=False)
-                trial = u[:, : k - 1] * sv[: k - 1]
+                trial = _truncate(L, k - 1)
                 trial_state, trial_mu = state(trial), None
                 for _ in range(min(TRIAL_STEPS, cfg.max_iterations - steps)):
                     steps += 1

@@ -129,6 +129,23 @@ def test_positive_not_certified_off_the_minimizer():
     assert rep.iterations_used == 10
 
 
+def test_positive_drops_halving_columns():
+    """Criterion-5 trial (ell_max=7, Z=2, rank 1, trial 0). The map's null
+    space makes the start wider than rank 1, and each Gauss-Newton step only
+    halves the spurious columns; dropping them once they have halved twice
+    reaches the certificate in a few steps, and the drop's guard keeps the
+    objective from rising."""
+    basis = ModeBasis.symmetric_span(7)
+    mmap = build_measurement_map(basis, ScanGeometry.default(2))
+    rho = random_state(basis, 1, seed=derive_seed(0, 7, 2, 1, 0))
+    rep = reconstruct_positive(mmap, simulate_scan(rho, mmap))
+    assert rep.metadata["stop_reason"] == "certified"
+    assert rep.iterations_used <= 8
+    assert rep.metadata["refine_rank"] == 1
+    assert hs_error(rep.estimate, rho) < 1e-20
+    assert np.all(np.diff(rep.objective_history) <= 0.0)
+
+
 def test_positive_certified_on_poisson_data():
     """With shot noise the residual stays large, so the decrease that closes
     the last of the complementarity gap is below eps * f. Steps are judged
@@ -150,7 +167,9 @@ def test_positive_certified_on_poisson_data():
 def test_jacobian_matches_direction_stack(n_planes, width):
     """The analytic Jacobian of W coords(L L^dag) agrees with the one built
     column by column from the unit directions of L, and applied to a step E
-    it gives W coords(E L^dag + L E^dag)."""
+    it gives W coords(E L^dag + L E^dag). The rows M_i of W read as real
+    (Re, Im) pairs give W coords(H) and the gradient matrix without
+    coordinates, as the solver takes them."""
     basis = ModeBasis.symmetric_span(7)
     d = basis.dim
     mmap = build_measurement_map(basis, ScanGeometry.default(n_planes))
@@ -162,7 +181,8 @@ def test_jacobian_matches_direction_stack(n_planes, width):
     L = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
     E = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
 
-    J = _jacobian(_to_hermitian(W, d), L)
+    M = _to_hermitian(W, d)
+    J = _jacobian(M, L)
     assert J.shape == (W.shape[0], 2 * d * k)
     # k = 1 solves through J^T J, k = d through J J^T
     assert (J.shape[0] <= J.shape[1]) == (width == "full")
@@ -176,6 +196,13 @@ def test_jacobian_matches_direction_stack(n_planes, width):
     step = J @ np.concatenate([E.real.ravel(), E.imag.ravel()])
     expected = W @ _to_coords(E @ L.conj().T + L @ E.conj().T)
     assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    Wr = M.reshape(len(M), -1).view(float)
+    H = E @ L.conj().T + L @ E.conj().T
+    assert np.linalg.norm(Wr @ H.view(float).ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+    r = rng.normal(size=len(W))
+    S = _to_hermitian(W.T @ r, d)
+    assert np.linalg.norm((r @ Wr).view(complex).reshape(d, d) - S) <= 1e-12 * np.linalg.norm(S)
 
 
 def test_positive_fixed_point_at_truth():
