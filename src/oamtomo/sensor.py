@@ -12,14 +12,14 @@ integral of p over the normalized plane is 1; it equals w(z)^2 times the
 position-eigenstate expectation value.
 
 Stacking the pixel functionals over a grid and a list of planes gives the
-real matrix A acting on the Hermitian coordinates of states. The planes
-differ only through the Gouy phases, which enter a pair of modes a, b as
-e^{i (|l_a| - |l_b|) arctan(zeta)}: each plane's block is the Gouy-free
-block at the waist with every (Re, Im) coordinate pair turned by that
-angle. The map never forms A: it keeps only its factors, taken
-through this structure and through the grid's quarter-turn symmetry, which
-splits the factorization into three classes of coordinates and needs the
-Gouy-free block at one pixel per orbit (:attr:`MeasurementMap.svd`).
+real matrix A acting on the Hermitian coordinates of states. In a plane, the
+pairs with one m = l - l' and s = |l| + |l'| see one function rr^s e^{i m phi}
+times the envelope. The planes differ only through the Gouy phases, which
+turn the (Re, Im) coordinates of a pair a, b by (|l_a| - |l_b|) arctan(zeta).
+The map never forms A: it keeps only its factors, taken through this
+structure and through the grid's quarter-turn symmetry, which splits the
+factorization into three classes and needs the distinct functions at one
+pixel per orbit (:attr:`MeasurementMap.svd`).
 """
 
 from __future__ import annotations
@@ -122,10 +122,10 @@ class MapFactors(NamedTuple):
     """Thin SVD of a measurement map whose m-row left factor stays implicit.
 
     A = blockdiag(q, ..., q) @ u @ diag(s) @ vt[:len(s)]: q has orthonormal
-    columns spanning the Gouy-free block, and so every plane's block, u holds
-    the left singular vectors of the small stack [q^T A_j]_j, s is descending,
-    and vt is square (d^2 x d^2), so its rows past the numerical rank span the
-    null space of A.
+    columns spanning the distinct pixel functions, and so every plane's block,
+    u the left singular vectors of the small stack [q^T A_j]_j, s is descending
+    without the structural zeros, and vt is square (d^2 x d^2), so its rows
+    past the numerical rank span the null space of A.
     """
 
     q: np.ndarray
@@ -168,12 +168,12 @@ class MeasurementMap:
     def svd(self) -> MapFactors:
         """Read-only factors of A, one frequency class at a time.
 
-        A quarter turn of the grid keeps the diagonal coordinates and turns the
-        pair a < b by i^(l_a - l_b): the Gouy-free rows at the pixels R^k x of
-        an orbit are the row at x turned k times. So the block is evaluated at
-        one pixel per orbit, and over the orbits each class's rows of
-        _ORBIT_ROWS see only its coordinates: B_c = Q_c T_c by a thin QR, q
-        holds each Q_c put back on the orbit pixels, and the SVD of the stack
+        A quarter turn of the grid turns a function of frequency m by i^m, so
+        the distinct functions are evaluated at one pixel per orbit. Over the
+        orbits each class's rows of _ORBIT_ROWS see only its functions F_c =
+        Q_c R_c (thin QR), q holds each Q_c put back on the orbit pixels, and
+        T_c, a gather of R_c's columns scaled by N_a^2 or sqrt(2) N_a N_b, is
+        the class's Gouy-free block Q_c T_c. The SVD of the stack
         [T_c R(zeta_j)]_j gives the class's share of u, s and vt. The shares
         are merged by descending s; null rows of vt follow them.
         """
@@ -181,34 +181,35 @@ class MeasurementMap:
         grid = np.arange(n * n).reshape(n, n)  # np.rot90(grid, k)[iy, ix] is pixel R^k (iy, ix)
         orbits = np.array([np.rot90(grid, k)[: n // 2, : (n + 1) // 2].ravel() for k in range(4)])
         centre = np.arange(n * n // 2, n * n // 2 + n % 2)  # the centre pixel of an odd grid, in class 0
-        free = _gouy_free_block(self.basis, self.geometry, np.concatenate([orbits[0], centre]))
+        free, fm, column, scale = _pixel_functions(self.basis, self.geometry, np.concatenate([orbits[0], centre]))
         reps, alone = free[: orbits.shape[1]], free[orbits.shape[1] :]
+        nd = free.shape[1] - 2 * len(fm)  # the diagonal functions, then whole (Re, Im) pairs
         ells, (iu, ju) = np.array(self.basis.ells), _triu(d)
-        quarter = np.array([1, 1j, -1, -1j])[np.outer(range(4), ells[iu] - ells[ju]) % 4]  # i^(k (l_a - l_b))
+        quarter = np.array([1, 1j, -1, -1j])[np.outer(range(4), fm) % 4]  # i^(k m)
         gouy = np.abs(ells)[iu] - np.abs(ells)[ju]  # the pair a < b turns by gouy * arctan(zeta) at zeta
         angles = np.array([[math.atan(zeta)] for zeta in self.geometry.planes])
-        m = np.concatenate([np.zeros(d, int), np.repeat(ells[iu] - ells[ju], 2)]) % 4
-        classes = [np.flatnonzero(m == 0), np.flatnonzero(m == 2), np.flatnonzero(m % 2)]
-        classes = [c for c in zip(classes, np.split(_ORBIT_ROWS, [1, 2]), (centre, [], [])) if len(c[0])]
-        widths = [min(len(w) * orbits.shape[1] + len(pixel), len(cols)) for cols, w, pixel in classes]
-        ranks = [min(self.geometry.n_planes * k, len(cols)) for (cols, _, _), k in zip(classes, widths)]
+        cls = np.array([0, 2, 1, 2])[np.concatenate([np.zeros(nd, int), np.repeat(fm, 2)]) % 4]  # m = 0, 2, odd
+        classes = [(np.flatnonzero(cls[column] == c), np.flatnonzero(cls == c), w, px)
+                   for c, w, px in zip(range(3), np.split(_ORBIT_ROWS, [1, 2]), (centre, [], [])) if c in cls]
+        widths = [min(len(w) * orbits.shape[1] + len(pixel), len(fcols)) for _, fcols, w, pixel in classes]
+        ranks = [min(self.geometry.n_planes * k, len(cols)) for (cols, *_), k in zip(classes, widths)]
         q, u = np.zeros((n * n, sum(widths))), np.zeros((self.geometry.n_planes, sum(widths), sum(ranks)))
         s, vt = np.zeros(sum(ranks)), np.zeros((d * d, d * d))
         col, row, null = 0, 0, sum(ranks)  # the class's first column of q, ranked row and null row of vt
-        for (cols, w, pixel), k, rank in zip(classes, widths, ranks):
-            block = np.empty((len(w),) + reps.shape)  # sum_k w_k (row at R^k x) for each representative x
-            block[..., :d] = w.sum(axis=1)[:, None, None] * reps[:, :d]
-            np.multiply((w @ quarter)[:, None], reps[:, d:].view(complex), out=block[..., d:].view(complex))
-            block = np.vstack([*block[..., cols], alone[: len(pixel), cols]])  # B_c; the full-width sums go
-            qc, tc = np.linalg.qr(block)
+        for (cols, fcols, w, pixel), k, rank in zip(classes, widths, ranks):
+            block = np.empty((len(w),) + reps.shape)  # sum_k w_k (functions at R^k x) for each representative x
+            block[..., :nd] = w.sum(axis=1)[:, None, None] * reps[:, :nd]
+            np.multiply((w @ quarter)[:, None], reps[:, nd:].view(complex), out=block[..., nd:].view(complex))
+            block = np.vstack([*block[..., fcols], alone[: len(pixel), fcols]])  # the class's functions
+            qc, rc = np.linalg.qr(block)
             on_orbits = qc[: len(qc) - len(pixel)].reshape(len(w), orbits.shape[1], k)
             q[orbits, col : col + k] = np.tensordot(w.T, on_orbits, 1)
             q[pixel, col : col + k] = qc[len(qc) - len(pixel) :]
+            tc = np.multiply(rc[:, np.searchsorted(fcols, column[cols])], scale[cols], order="C")  # B_c = Q_c T_c
             diag = np.count_nonzero(cols < d)  # cols: diagonal coordinates, then whole (Re, Im) pairs
-            stack = np.empty((self.geometry.n_planes, k, len(cols)))  # T_c R(zeta_j), plane by plane
-            stack[..., :diag] = tc[:, :diag]
-            turns = np.exp(1j * gouy[(cols[diag::2] - d) // 2] * angles)
-            np.multiply(tc[:, diag:].view(complex), turns[:, None], out=stack[..., diag:].view(complex))
+            stack = np.repeat(tc[None], self.geometry.n_planes, axis=0)  # T_c R(zeta_j), plane by plane
+            turned = stack[..., diag:].view(complex)
+            turned *= np.exp(1j * gouy[(cols[diag::2] - d) // 2] * angles)[:, None]
             stack = stack.reshape(-1, len(cols))
             uc, s[row : row + rank], vc = np.linalg.svd(stack, full_matrices=len(stack) < len(cols))
             u[:, col : col + k, row : row + rank] = uc.reshape(self.geometry.n_planes, k, rank)
@@ -296,32 +297,30 @@ _ORBIT_ROWS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 0, -1, 0], [0, 1, 0, -
 _ORBIT_ROWS = _ORBIT_ROWS / np.linalg.norm(_ORBIT_ROWS, axis=1, keepdims=True)
 
 
-def _gouy_free_block(basis: ModeBasis, geometry: ScanGeometry, pixels: np.ndarray) -> np.ndarray:
-    """Rows of A at the waist (zeta = 0) for the given flat pixel indices: len(pixels) x d^2,
-    in Hermitian coordinates.
+def _pixel_functions(basis: ModeBasis, geometry: ScanGeometry, pixels: np.ndarray):
+    """Distinct pixel functions at the waist at flat pixel indices (len(pixels) x f), each pair
+    function's m, and each coordinate's column and scale: block[:, column] * scale is the Gouy-free block.
 
-    With the mode amplitudes g_a = N_a rr^{|l_a|} e^{-i l_a phi}, the pixel
-    functional of diagonal coordinate a is env |g_a|^2, and the pair a < b
-    has sqrt(2) env (Re, Im) of conj(g_a) g_b: the coordinates carry
-    sqrt(2) Re(rho_ab) and sqrt(2) Im(rho_ab), and
-    rho_ab g_a conj(g_b) + c.c. = 2 Re(rho_ab) Re(conj(g_a) g_b) + 2 Im(rho_ab) Im(conj(g_a) g_b).
+    With the mode amplitudes g_a = N_a rr^{|l_a|} e^{-i l_a phi}, diagonal
+    coordinate a sees env |g_a|^2, and the pair a < b sqrt(2) env (Re, Im) of
+    conj(g_a) g_b = N_a N_b rr^s e^{i m phi}, m = l_a - l_b, s = |l_a| + |l_b|.
+    So the block holds env rr^{2|l|} once per distinct |l|, then the (Re, Im)
+    of env rr^s e^{i m phi} once per distinct (m, s) among the pairs.
     """
-    d = basis.dim
-    ells = np.array(basis.ells)
+    ells, (iu, ju) = np.array(basis.ells), _triu(basis.dim)
+    norms = np.array([_norm(l) for l in ells])
+    mags, diag = np.unique(np.abs(ells), return_inverse=True)
+    width = 2 * mags[-1] + 1  # s < width, so m * width + s tells the pairs' (m, s) apart
+    keys, pair = np.unique((ells[iu] - ells[ju]) * width + mags[diag[iu]] + mags[diag[ju]], return_inverse=True)
+    m, s = np.divmod(keys, width)
+    column = np.concatenate([diag, len(mags) + 2 * np.repeat(pair, 2) + np.tile([0, 1], len(pair))])
+    scale = np.concatenate([norms**2, np.repeat(math.sqrt(2.0) * norms[iu] * norms[ju], 2)])
     xx, yy = (c[pixels] for c in geometry.pixel_centers())
-    rr = np.hypot(xx, yy)
-    phi = np.arctan2(yy, xx)
+    rr, phi = np.hypot(xx, yy)[:, None], np.arctan2(yy, xx)[:, None]
     env = np.exp(-2.0 * rr * rr) * geometry.pixel_area
-    rr = np.where(env > 0, rr, 0.0)  # where the envelope underflows, no rr^|l| overflow makes 0 * inf
-    amp = np.array([_norm(l) for l in ells]) * rr[:, None] ** np.abs(ells)
-    g = amp * np.exp(-1j * phi[:, None] * ells)
-    iu, ju = _triu(d)
-    block = np.empty((rr.size, d * d))
-    block[:, :d] = env[:, None] * amp**2
-    pairs = block[:, d:].view(complex)  # (Re, Im) side by side
-    np.multiply(g[:, iu].conj(), g[:, ju], out=pairs)
-    pairs *= (math.sqrt(2.0) * env)[:, None]
-    return block
+    rr = np.where(env > 0, rr, 0.0)  # where the envelope underflows, no rr^s overflow makes 0 * inf
+    block = np.hstack([env * rr ** (2 * mags), (env * rr**s * np.exp(1j * phi * m)).view(float)])
+    return block, m, column, scale
 
 
 def build_measurement_map(basis: ModeBasis, geometry: ScanGeometry) -> MeasurementMap:
@@ -332,9 +331,10 @@ def build_measurement_map(basis: ModeBasis, geometry: ScanGeometry) -> Measureme
 def independent_detections(mmap: MeasurementMap) -> int:
     """Numerical rank of A: the map's singular values above DETECTION_TOL * sigma_max.
 
-    With the Gouy-free block B = Q T, so that plane j's block is B R(zeta_j),
-    this is n_Z = rank [T R(zeta_1); ...; T R(zeta_Z)], whose SVD
-    :attr:`MeasurementMap.svd` takes class by class. Every R fixes the diagonal
+    With the Gouy-free block B = Q T, Q spanning the distinct pixel functions
+    ((d^2 + 6d - 3)/4 for a symmetric span, which bounds n_1), plane j's block
+    is B R(zeta_j), and this is n_Z = rank [T R(zeta_1); ...; T R(zeta_Z)],
+    whose SVD :attr:`MeasurementMap.svd` takes class by class. Every R fixes the diagonal
     coordinates and the (l, -l) pairs, where |l_a| = |l_b|, and on that
     subspace all planes see the same Gouy-free block. So no added plane can
     see the null directions H_l = |l><l| - |-l><-l| that one plane misses:

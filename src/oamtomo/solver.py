@@ -175,7 +175,9 @@ def reconstruct_positive(
     and does not count. ``objective_history`` holds ||A x - p|| at the start
     and after each outer step. The metadata carry both certificate values,
     ``stop_reason`` ("certified", "max_iterations" or "stalled"), the number
-    of steps and the final factor width.
+    of steps and the final factor width, and ``unexplained_fraction``
+    2 f_res / ||p||^2, the share of the scan's power that no state fits
+    (None for a scan of zeros).
     """
     d = mmap.basis.dim
     s, vt, b, f_res, x, _ = mmap.least_squares(scan)
@@ -287,6 +289,7 @@ def reconstruct_positive(
         reason = "max_iterations"
     else:
         reason = "stalled"
+    power = float(scan.values @ scan.values)
     est, meta = _finalize(mmap, X)
     meta.update(
         stop_reason=reason,
@@ -294,6 +297,7 @@ def reconstruct_positive(
         kkt_complementarity=comp,
         refine_steps=steps,
         refine_rank=L.shape[1],
+        unexplained_fraction=2.0 * f_res / power if power > 0 else None,
     )
     return ReconstructionReport(
         estimate=est,

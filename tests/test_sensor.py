@@ -310,15 +310,19 @@ def test_map_matches_per_pair_reference(basis, geom):
 def test_factorization_matches_dense_svd(basis, geom):
     """s, the rank, U_k^T p and the unfit part agree with a dense SVD of A.
 
-    U_k is fixed only up to a rotation within each cluster of equal singular
-    values, so U_k^T p is compared through the basis-free fitted part
-    U_k U_k^T p and its norm."""
+    s omits the structural zeros, so it matches the dense SVD's leading len(s)
+    values, and every dense value past them is below the same bound. U_k is
+    fixed only up to a rotation within each cluster of equal singular values,
+    so U_k^T p is compared through the basis-free fitted part U_k U_k^T p and
+    its norm."""
     mmap = build_measurement_map(basis, geom)
     A = np.vstack([_per_pair_block(basis, geom, zeta) for zeta in geom.planes])
     u_dense, s_dense, _ = np.linalg.svd(A, full_matrices=False)
     q, u, s, vt = mmap.svd
     assert vt.shape == (basis.dim**2, basis.dim**2)
-    assert np.max(np.abs(s - s_dense)) <= 1e-13 * s_dense[0]
+    assert len(s) <= len(s_dense)
+    assert np.max(np.abs(s - s_dense[: len(s)])) <= 1e-13 * s_dense[0]
+    assert np.all(s_dense[len(s) :] <= 1e-13 * s_dense[0])
     assert independent_detections(mmap) == int(np.sum(s_dense > 1e-8 * s_dense[0]))
 
     p = np.random.default_rng(7).uniform(size=A.shape[0])
@@ -332,6 +336,25 @@ def test_factorization_matches_dense_svd(basis, geom):
     assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(b_dense), rel=1e-12)
     unfit_dense = 0.5 * float(np.sum((p - fitted_dense) ** 2))
     assert abs(unfit - unfit_dense) <= 1e-12 * 0.5 * float(p @ p)
+
+
+Q_WIDTH_CASES = {
+    **{f"l_max {l}": (S(l), ScanGeometry.default(1), ((2 * l + 1) ** 2 + 6 * (2 * l + 1) - 3) // 4) for l in range(8)},
+    **{f"nonnegative d={d}": (ModeBasis.nonnegative_span(d), ScanGeometry.default(1), d * d) for d in (1, 2, 4, 6)},
+    "fewer pixels than d^2": (S(2), ScanGeometry(3, 3.0, (0.0, 1 / 3)), 9),
+    "one pixel": (S(2), ScanGeometry(1, 3.0, (0.0, 1 / 3)), 1),
+    "2x2 grid": (S(2), ScanGeometry(2, 3.0, (0.0, 1 / 3)), 4),
+}
+
+
+@pytest.mark.parametrize("basis, geom, width", Q_WIDTH_CASES.values(), ids=Q_WIDTH_CASES.keys())
+def test_q_spans_the_distinct_pixel_functions(basis, geom, width):
+    """q has one column per distinct pixel function, unless the grid has fewer
+    orbit rows than that: (d^2 + 6d - 3)/4 for a symmetric span, whose pairs
+    share functions, and d^2 for a nonnegative span, whose pairs share none.
+    A small grid's q is as wide as its orbit rows, one per pixel."""
+    q = build_measurement_map(basis, geom).svd.q
+    assert q.shape == (geom.n_pixels, width)
 
 
 def _frequency_class(basis):

@@ -17,6 +17,7 @@ from oamtomo.qstate import (
 )
 from oamtomo.qstate import test_state as make_test_state
 from oamtomo.sensor import (
+    SVD_RCOND,
     IntensityScan,
     ScanGeometry,
     build_measurement_map,
@@ -160,6 +161,26 @@ def test_positive_certified_on_poisson_data():
     assert rep.metadata["stop_reason"] == "certified"
     assert rep.metadata["kkt_min_eig"] >= -SolverConfig().rel_tolerance
     assert rep.metadata["kkt_complementarity"] <= SolverConfig().rel_tolerance
+
+
+def test_unexplained_fraction_matches_dense_residual():
+    """unexplained_fraction is ||p - A A^+ p||^2 / ||p||^2: zero on a noiseless
+    scan, the dense least-squares residual's share on a noisy one, and None on
+    a scan of zeros."""
+    basis = ModeBasis.symmetric_span(4)
+    mmap = build_measurement_map(basis, ScanGeometry.default(4, n_pixels_per_side=41))
+    rho = random_state(basis, 2, seed=3)
+    clean = reconstruct_positive(mmap, simulate_scan(rho, mmap)).metadata["unexplained_fraction"]
+    assert 0.0 <= clean < 1e-20
+    scan = simulate_scan(rho, mmap, noise="poisson", photon_budget=1e6, seed=3)
+    p = scan.values
+    A = mmap.matrix
+    x = np.linalg.lstsq(A, p, rcond=SVD_RCOND)[0]
+    dense = float(np.sum((p - A @ x) ** 2)) / float(p @ p)
+    noisy = reconstruct_positive(mmap, scan).metadata["unexplained_fraction"]
+    assert noisy == pytest.approx(dense, rel=1e-9)
+    zeros = IntensityScan(mmap.geometry, np.zeros_like(p))
+    assert reconstruct_positive(mmap, zeros).metadata["unexplained_fraction"] is None
 
 
 @pytest.mark.parametrize("n_planes", [1, 2, 3])
