@@ -240,9 +240,15 @@ def state_to_json_dict(rho: DensityMatrix) -> dict:
 
 def state_from_json_dict(obj: dict) -> DensityMatrix:
     try:
-        basis = ModeBasis(tuple(int(l) for l in obj["ells"]))
-        entries = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        ells, re, im = obj["ells"], np.asarray(obj["re"], dtype=object), np.asarray(obj["im"], dtype=object)
+        # JSON integers and numbers only: int() and float() would read 1.5 as 1, true as 1 and "0.5" as 0.5
+        if type(ells) is not list or any(type(x) is not int for x in ells):
+            raise ValueError(f"mode indices must be integers, got {ells!r}")
+        if any(type(x) not in (int, float) for x in (*re.flat, *im.flat)):
+            raise ValueError("entries must be numbers")
+        basis = ModeBasis(tuple(ells))
+        entries = re.astype(float) + 1j * im.astype(float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateValidationError(f"malformed density-matrix record: {exc}") from exc
     return DensityMatrix(basis, entries)
 

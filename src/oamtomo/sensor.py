@@ -52,8 +52,7 @@ __all__ = [
 DEFAULT_PLANE_POOL = (0.0, 1 / 3, 1 / 2, 1.0, 3 / 2, 2.0, 5 / 2, 3.0, 4.0, 5.0)
 
 SCAN_HEADER = "plane_index,zeta,px,py,value"
-DETECTION_TOL = 1e-8  # singular values of A counted as detections, relative to the largest
-SVD_RCOND = 1e-12  # singular values of A kept in its least-squares model and A^+, relative to the largest
+SVD_RCOND = 1e-12  # singular values of A kept in its factors, relative to the largest: the map's one rank cut-off
 
 
 class ScanFormatError(ValueError):
@@ -123,9 +122,9 @@ class MapFactors(NamedTuple):
 
     A = blockdiag(q, ..., q) @ u @ diag(s) @ vt[:len(s)]: q has orthonormal
     columns spanning the distinct pixel functions, and so every plane's block,
-    u the left singular vectors of the small stack [q^T A_j]_j, s is descending
-    without the structural zeros, and vt is square (d^2 x d^2), so its rows
-    past the numerical rank span the null space of A.
+    u the left singular vectors of the small stack [q^T A_j]_j, s the descending
+    singular values above SVD_RCOND * s[0], as many as the rank of A, and vt is
+    square (d^2 x d^2), so its rows past len(s) span the null space of A.
     """
 
     q: np.ndarray
@@ -175,7 +174,7 @@ class MeasurementMap:
         T_c, a gather of R_c's columns scaled by N_a^2 or sqrt(2) N_a N_b, is
         the class's Gouy-free block Q_c T_c. The SVD of the stack
         [T_c R(zeta_j)]_j gives the class's share of u, s and vt. The shares
-        are merged by descending s; null rows of vt follow them.
+        are merged by descending s and cut at SVD_RCOND * s[0] (:class:`MapFactors`).
         """
         n, d = self.geometry.n_pixels_per_side, self.basis.dim
         grid = np.arange(n * n).reshape(n, n)  # np.rot90(grid, k)[iy, ix] is pixel R^k (iy, ix)
@@ -192,11 +191,10 @@ class MeasurementMap:
         classes = [(np.flatnonzero(cls[column] == c), np.flatnonzero(cls == c), w, px)
                    for c, w, px in zip(range(3), np.split(_ORBIT_ROWS, [1, 2]), (centre, [], [])) if c in cls]
         widths = [min(len(w) * orbits.shape[1] + len(pixel), len(fcols)) for _, fcols, w, pixel in classes]
-        ranks = [min(self.geometry.n_planes * k, len(cols)) for (cols, *_), k in zip(classes, widths)]
-        q, u = np.zeros((n * n, sum(widths))), np.zeros((self.geometry.n_planes, sum(widths), sum(ranks)))
-        s, vt = np.zeros(sum(ranks)), np.zeros((d * d, d * d))
-        col, row, null = 0, 0, sum(ranks)  # the class's first column of q, ranked row and null row of vt
-        for (cols, fcols, w, pixel), k, rank in zip(classes, widths, ranks):
+        q, u = np.zeros((n * n, sum(widths))), np.zeros((self.geometry.n_planes, sum(widths), d * d))
+        s, vt = np.zeros(d * d), np.zeros((d * d, d * d))  # s[i] goes with vt[i]: 0 past a class stack's values
+        col, row = 0, 0  # the class's first column of q and row of vt
+        for (cols, fcols, w, pixel), k in zip(classes, widths):
             block = np.empty((len(w),) + reps.shape)  # sum_k w_k (functions at R^k x) for each representative x
             block[..., :nd] = w.sum(axis=1)[:, None, None] * reps[:, :nd]
             np.multiply((w @ quarter)[:, None], reps[:, nd:].view(complex), out=block[..., nd:].view(complex))
@@ -211,21 +209,20 @@ class MeasurementMap:
             turned = stack[..., diag:].view(complex)
             turned *= np.exp(1j * gouy[(cols[diag::2] - d) // 2] * angles)[:, None]
             stack = stack.reshape(-1, len(cols))
-            uc, s[row : row + rank], vc = np.linalg.svd(stack, full_matrices=len(stack) < len(cols))
-            u[:, col : col + k, row : row + rank] = uc.reshape(self.geometry.n_planes, k, rank)
-            vt[row : row + rank, cols] = vc[:rank]
-            vt[null : null + len(cols) - rank, cols] = vc[rank:]
-            col, row, null = col + k, row + rank, null + len(cols) - rank
+            uc, sc, vt[row : row + len(cols), cols] = np.linalg.svd(stack, full_matrices=len(stack) < len(cols))
+            s[row : row + len(sc)] = sc
+            u[:, col : col + k, row : row + len(sc)] = uc.reshape(self.geometry.n_planes, k, len(sc))
+            col, row = col + k, row + len(cols)
         order = np.argsort(-s, kind="stable")
-        vt[: len(s)] = vt[order]
-        factors = MapFactors(q, u.reshape(-1, len(s))[:, order], s[order], vt)
+        kept = order[: np.count_nonzero(s > SVD_RCOND * s.max())]  # the rank: vt's rows past it are null
+        factors = MapFactors(q, u.reshape(-1, d * d)[:, kept], s[kept], vt[order])
         for f in factors:
             f.setflags(write=False)
         return factors
 
     def least_squares(self, scan: IntensityScan) -> LeastSquares:
         """0.5 ||A x - p||^2 = 0.5 ||W x - b||^2 + f_res, W = diag(s) vt, for the
-        scan's values p, over the k singular values s of A above SVD_RCOND * s_max.
+        scan's values p, over the map's k = len(s) singular values (:class:`MapFactors`).
 
         vt holds their rows of V^T and ``null`` the rows past them, which span
         the null space of A; b = U_k^T p, f_res = 0.5 ||p - U_k U_k^T p||^2 is
@@ -234,22 +231,21 @@ class MeasurementMap:
         of ||p_j - q c_j||^2 plus ||c - u_k b||^2. These residuals are taken
         directly, so f_res, the objective and its gradient W^T (W x - b) have no
         cancellation, however small the residual is. Raises ValueError when the
-        map keeps no singular value (s_max = 0): no pixel sees light, and every
-        estimator reads the map through this model.
+        map keeps no singular value (s is empty): no pixel sees light, and
+        every estimator reads the map through this model.
         """
         if scan.geometry != self.geometry:
             raise ValueError(f"scan geometry {scan.geometry} does not match the map's {self.geometry}")
         q, u, s, vt = self.svd
-        k = int(np.sum(s > SVD_RCOND * s[0]))
-        if k == 0:
+        if not len(s):
             raise ValueError("measurement map is identically zero: no pixel sees light")
         planes = scan.values.reshape(self.geometry.n_planes, -1)
         c = planes @ q
-        b = u[:, :k].T @ c.ravel()
-        inside = c.ravel() - u[:, :k] @ b
+        b = u.T @ c.ravel()
+        inside = c.ravel() - u @ b
         outside = planes - c @ q.T
         f_res = 0.5 * (float(np.vdot(outside, outside)) + float(inside @ inside))
-        return LeastSquares(s[:k], vt[:k], b, f_res, vt[:k].T @ (b / s[:k]), vt[k:])
+        return LeastSquares(s, vt[: len(s)], b, f_res, vt[: len(s)].T @ (b / s), vt[len(s) :])
 
 
 class LeastSquares(NamedTuple):
@@ -329,7 +325,7 @@ def build_measurement_map(basis: ModeBasis, geometry: ScanGeometry) -> Measureme
 
 
 def independent_detections(mmap: MeasurementMap) -> int:
-    """Numerical rank of A: the map's singular values above DETECTION_TOL * sigma_max.
+    """Numerical rank of A: len(s) of :attr:`MeasurementMap.svd`, the rank of every least-squares model.
 
     With the Gouy-free block B = Q T, Q spanning the distinct pixel functions
     ((d^2 + 6d - 3)/4 for a symmetric span, which bounds n_1), plane j's block
@@ -340,8 +336,7 @@ def independent_detections(mmap: MeasurementMap) -> int:
     see the null directions H_l = |l><l| - |-l><-l| that one plane misses:
     they lie in the subspace every R fixes.
     """
-    s = mmap.svd.s
-    return int(np.sum(s > DETECTION_TOL * s[0]))
+    return len(mmap.svd.s)
 
 
 def simulate_scan(

@@ -223,13 +223,14 @@ def reconstruct_positive(
     k = max(1, int(np.sum(w > RANK_TOL * w[-1])))
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
     cur = state(L)
-    history = [math.sqrt(max(2.0 * cur[2], 0.0))]
+    history = []
     mu = None
     failed_widths: set[int] = set()
     sv = np.empty(0)
     steps = 0
     while True:
         X, r, f = cur
+        history.append(math.sqrt(max(2.0 * f, 0.0)))
         S = (r @ Wr).view(complex).reshape(d, d)
         eig, comp, v = _certificate(S, X, scale)
         converged = eig >= -tol and comp <= tol
@@ -240,7 +241,6 @@ def reconstruct_positive(
         if len(sv) != k:  # the width changed: halvings count from here
             sv, halved = _singular_values(L), np.zeros(k, dtype=bool)
         step = damped_step(L, cur, mu)
-        step_gain = step[3] if step else 0.0
         rank_gain = 0.0
         if eig < -tol and k < d:
             D = np.outer(v, v.conj())
@@ -248,7 +248,7 @@ def reconstruct_positive(
             rd = Wr @ D.view(float).ravel()
             t = -slope / float(rd @ rd)
             rank_gain = -t * slope - 0.5 * t * t * float(rd @ rd)
-        if rank_gain > step_gain:
+        if rank_gain > (step[3] if step else 0.0):
             L = np.column_stack([L, math.sqrt(t) * v])
             cur, mu = state(L), None
         elif step is None:
@@ -264,7 +264,6 @@ def reconstruct_positive(
                 cut_state = state(cut)
                 if cut_state[2] <= cur[2]:
                     L, cur, mu = cut, cut_state, None
-                    history.append(math.sqrt(max(2.0 * cur[2], 0.0)))
                     continue
             if k > 1 and k not in failed_widths and cur[2] - f_res > SLOW_GAIN * (f - f_res):
                 trial = _truncate(L, k - 1)
@@ -281,7 +280,6 @@ def reconstruct_positive(
                     L, cur, mu = trial, trial_state, trial_mu
                 else:
                     failed_widths.add(k)
-        history.append(math.sqrt(max(2.0 * cur[2], 0.0)))
 
     if converged:
         reason = "certified"

@@ -539,6 +539,13 @@ def test_cli_validate_good_and_bad_scan(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def state_record(**fields):
+    """Writes a state file over the modes -1, 0, 1 with the diagonal (0.5, 0.25, 0.25), ``fields`` replaced;
+    json writes False and True as false and true, and a string as a JSON string."""
+    obj = {"ells": [-1, 0, 1], "re": np.diag([0.5, 0.25, 0.25]).tolist(), "im": np.zeros((3, 3)).tolist(), **fields}
+    return lambda p: p.write_text(json.dumps(obj))
+
+
 def diagonal_state(first: float):
     """Writes a state file over the modes -1, 0, 1 with the diagonal (first, 0.5, 0.5);
     json writes a NaN or an infinite entry as NaN or Infinity."""
@@ -561,6 +568,30 @@ MALFORMED_FILES = {
         EXIT_DATA,
     ),
     "state entry nan": ("simulate", diagonal_state(np.nan), "invariants violated: finite entries", EXIT_DATA),
+    "state mode index not an integer": (
+        "simulate",
+        state_record(ells=[-1, 0, 1.5]),
+        "mode indices must be integers, got [-1, 0, 1.5]",
+        EXIT_DATA,
+    ),
+    "state mode indices booleans": (
+        "simulate",
+        state_record(ells=[-1, False, True]),
+        "mode indices must be integers, got [-1, False, True]",
+        EXIT_DATA,
+    ),
+    "state entry a string": (
+        "simulate",
+        state_record(re=[["0.5", 0, 0], [0, 0.25, 0], [0, 0, 0.25]]),
+        "entries must be numbers",
+        EXIT_DATA,
+    ),
+    "state entry an integer beyond a double": (
+        "simulate",
+        state_record(re=[[10**400, 0, 0], [0, 0.25, 0], [0, 0, 0.25]]),
+        "int too large to convert to float",
+        EXIT_DATA,
+    ),
     "state entry infinite": ("simulate", diagonal_state(np.inf), "invariants violated: finite entries", EXIT_DATA),
     "scan not UTF-8": (
         "reconstruct",

@@ -241,6 +241,25 @@ def test_rank_monotone_in_planes():
         prev = n
 
 
+@pytest.mark.parametrize("ell_max", range(8))
+def test_detections_match_the_closed_form(ell_max):
+    """n_Z = (l_max + 1) + the sum over the groups of pairs a < b with one (m, s)
+    of 2 rank [e^{i g_p arctan zeta_j}]_{j, p}, g_p = |l_a| - |l_b|: one function
+    per |l| on the diagonal, which no plane turns, and per group the (Re, Im) of
+    one function whose pairs the planes turn apart. On 19x19, Z = 1 to 10."""
+    ells = ModeBasis.symmetric_span(ell_max).ells
+    groups = {}
+    for a, la in enumerate(ells):
+        for lb in ells[a + 1 :]:
+            groups.setdefault((la - lb, abs(la) + abs(lb)), []).append(abs(la) - abs(lb))
+    for z in range(1, 11):
+        geom = ScanGeometry.default(z)
+        angles = np.arctan(geom.planes)
+        turns = [np.exp(1j * np.outer(angles, g)) for g in groups.values()]
+        closed = ell_max + 1 + sum(2 * np.linalg.matrix_rank(m) for m in turns)
+        assert independent_detections(build_measurement_map(ModeBasis.symmetric_span(ell_max), geom)) == closed, z
+
+
 def test_single_plane_pair_degeneracy():
     """(1,-1) and (2,0) coherences give proportional pixel functionals
     within one plane; this is what breaks single-scan completeness."""
@@ -310,11 +329,11 @@ def test_map_matches_per_pair_reference(basis, geom):
 def test_factorization_matches_dense_svd(basis, geom):
     """s, the rank, U_k^T p and the unfit part agree with a dense SVD of A.
 
-    s omits the structural zeros, so it matches the dense SVD's leading len(s)
-    values, and every dense value past them is below the same bound. U_k is
-    fixed only up to a rotation within each cluster of equal singular values,
-    so U_k^T p is compared through the basis-free fitted part U_k U_k^T p and
-    its norm."""
+    s holds the values above SVD_RCOND * s[0], so it matches the dense SVD's
+    leading len(s) values, and every dense value past them is below the same
+    bound. U_k is fixed only up to a rotation within each cluster of equal
+    singular values, so U_k^T p is compared through the basis-free fitted part
+    U_k U_k^T p and its norm."""
     mmap = build_measurement_map(basis, geom)
     A = np.vstack([_per_pair_block(basis, geom, zeta) for zeta in geom.planes])
     u_dense, s_dense, _ = np.linalg.svd(A, full_matrices=False)
@@ -323,7 +342,7 @@ def test_factorization_matches_dense_svd(basis, geom):
     assert len(s) <= len(s_dense)
     assert np.max(np.abs(s - s_dense[: len(s)])) <= 1e-13 * s_dense[0]
     assert np.all(s_dense[len(s) :] <= 1e-13 * s_dense[0])
-    assert independent_detections(mmap) == int(np.sum(s_dense > 1e-8 * s_dense[0]))
+    assert independent_detections(mmap) == int(np.sum(s_dense > SVD_RCOND * s_dense[0]))
 
     p = np.random.default_rng(7).uniform(size=A.shape[0])
     k = int(np.sum(s_dense > SVD_RCOND * s_dense[0]))
@@ -336,6 +355,31 @@ def test_factorization_matches_dense_svd(basis, geom):
     assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(b_dense), rel=1e-12)
     unfit_dense = 0.5 * float(np.sum((p - fitted_dense) ** 2))
     assert abs(unfit - unfit_dense) <= 1e-12 * 0.5 * float(p @ p)
+
+
+ONE_RANK_CASES = {
+    **{f"l_max 7, 19x19, Z={z}": (S(7), ScanGeometry.default(z)) for z in (1, 2, 3)},
+    **{f"l_max 7, 9x9, Z={z}": (S(7), ScanGeometry.default(z, 9)) for z in (1, 2)},
+    "l_max 7, 7x7, Z=4": (S(7), ScanGeometry.default(4, 7)),
+    "l_max 6, 7x7, Z=3": (S(6), ScanGeometry.default(3, 7)),
+    "l_max 5, 5x5, Z=3": (S(5), ScanGeometry.default(3, 5)),
+}
+
+
+@pytest.mark.parametrize("basis, geom", ONE_RANK_CASES.values(), ids=ONE_RANK_CASES.keys())
+def test_every_reader_of_the_rank_agrees(basis, geom):
+    """The factors keep exactly the singular values above SVD_RCOND * s[0], and
+    the detection count, the least-squares model, its null basis and a dense
+    SVD of A all see that rank. The coarse grids have genuine values between
+    1e-12 and 1e-8 of the largest, which a second cut-off would count apart."""
+    mmap = build_measurement_map(basis, geom)
+    s = mmap.svd.s
+    assert np.all(s > SVD_RCOND * s[0])
+    model = mmap.least_squares(simulate_scan(random_state(basis, 2, seed=0), mmap))
+    A = np.vstack([_per_pair_block(basis, geom, zeta) for zeta in geom.planes])
+    s_dense = np.linalg.svd(A, compute_uv=False)
+    rank = int(np.sum(s_dense > SVD_RCOND * s_dense[0]))
+    assert independent_detections(mmap) == len(model.s) == basis.dim**2 - len(model.null) == rank
 
 
 Q_WIDTH_CASES = {
