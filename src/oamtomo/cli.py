@@ -37,24 +37,6 @@ EXIT_NONCONVERGED = 4
 _SUBCOMMANDS = {kind.replace("_", "-"): kind for kind in KINDS}
 
 
-def _apply_override(obj: dict, assignment: str) -> None:
-    """Apply a dotted --set key=value override; values parse as JSON first."""
-    if "=" not in assignment:
-        raise SpecValidationError([f"--set expects key=value, got {assignment!r}"])
-    key, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    target = obj
-    parts = key.split(".")
-    for part in parts[:-1]:
-        target = target.setdefault(part, {})
-        if not isinstance(target, dict):
-            raise SpecValidationError([f"--set path {key!r} collides with a scalar field"])
-    target[parts[-1]] = value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oamtomo",
@@ -89,11 +71,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise SpecValidationError([f"spec file is not valid JSON: {exc}"]) from exc
         else:
             obj = {}
-        for assignment in args.overrides:
-            _apply_override(obj, assignment)
-        if args.seed is not None:
-            obj["seed"] = args.seed
-        spec = parse_spec(obj, kind=kind)
+        seed = [] if args.seed is None else [f"seed={args.seed}"]
+        spec = parse_spec(obj, kind=kind, overrides=args.overrides + seed)
         spec.threads = max(1, args.threads)
         spec.strict = bool(args.strict)
         result = run_experiment(spec, out_dir=args.out)

@@ -8,12 +8,13 @@ execution order or worker count.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -70,6 +71,7 @@ KINDS = (
     "validate",
 )
 BRANCHES = ("positive", "pseudoinverse")
+_MAX_ELL = 170  # a mode's normalization divides by |ell|!, which beyond 170 exceeds the largest double
 
 
 class SpecValidationError(ValueError):
@@ -228,15 +230,37 @@ def _check_fields(obj: dict, values: dict, problems: list[str], prefix: str = ""
             problems.append(f"{path} must be {check['must']}, got {value!r}")
 
 
-def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
+def _apply_override(obj: dict, assignment: str) -> None:
+    """Apply a dotted key=value override in place; values parse as JSON first."""
+    key, equals, raw = assignment.partition("=")
+    if not equals:
+        raise SpecValidationError([f"--set expects key=value, got {assignment!r}"])
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    *blocks, name = key.split(".")
+    for block in blocks:
+        obj = obj.setdefault(block, {})
+        if not isinstance(obj, dict):
+            raise SpecValidationError([f"--set path {key!r} collides with a scalar field"])
+    obj[name] = value
+
+
+def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()) -> ExperimentSpec:
     """Validate a JSON spec dict, collecting all diagnostics before raising.
 
-    Each field is checked as its ExperimentSpec declaration says; what
-    follows are the rules that tie fields together. ``kind``, when given, is
-    the kind of the run, and a spec that names another kind is rejected.
+    ``overrides`` are dotted key=value assignments (``--set``), applied in
+    order to a copy of the spec. Each field is then checked as its
+    ExperimentSpec declaration says; what follows are the rules that tie
+    fields together. ``kind``, when given, is the kind of the run, and a
+    spec that names another kind is rejected.
     """
     if not isinstance(obj, dict):
         raise SpecValidationError(["spec must be a JSON object"])
+    obj = copy.deepcopy(obj)
+    for assignment in overrides:
+        _apply_override(obj, assignment)
     problems: list[str] = []
     values: dict[str, Any] = {}
     _check_fields({"kind": kind, **obj}, values, problems)
@@ -247,7 +271,11 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
     solver = {a.removeprefix("solver."): values.pop(a) for a in list(values) if a.startswith("solver.")}
     spec = ExperimentSpec(**values, solver=SolverConfig(**solver))
 
-    d_max = 2 * spec.ell_max + 1 if spec.basis_kind == "symmetric" else spec.d
+    symmetric = spec.basis_kind == "symmetric"
+    d_max = 2 * spec.ell_max + 1 if symmetric else spec.d
+    ell_top, top = (spec.ell_max, "basis.ell_max") if symmetric else (spec.d - 1, "basis.d - 1")
+    if ell_top > _MAX_ELL:
+        problems.append(f"{top}, the basis's largest |ell|, must be at most {_MAX_ELL}, got {ell_top}")
     # a rank above d is skipped, but a sweep with no rank in [1, d] has no cells
     if min(spec.ranks) > d_max:
         problems.append(f"ranks must include one at most d = {d_max}, got {list(spec.ranks)}")
@@ -255,7 +283,7 @@ def parse_spec(obj: dict, kind: str | None = None) -> ExperimentSpec:
         problems.append(f"state.rank must be at most d = {d_max}, got {spec.state_rank}")
     if spec.kind == "error_sweep" and spec.state_kind != "random":
         problems.append(f"an error sweep's ranks draw random states; state.kind {spec.state_kind!r} is not 'random'")
-    if spec.state_kind == "test" and not (spec.basis_kind == "symmetric" and spec.ell_max >= 3):
+    if spec.state_kind == "test" and not (symmetric and spec.ell_max >= 3):
         problems.append("state.kind 'test' needs the modes -3, 0 and 3 (symmetric basis, ell_max >= 3)")
     if spec.state_kind == "test" and (spec.state_p is None) != (spec.state_theta is None):
         missing = "state.theta" if spec.state_theta is None else "state.p"

@@ -136,8 +136,15 @@ def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def _to_coords(h: np.ndarray) -> np.ndarray:
-    """Coordinates of a complex (..., d, d) stack from its upper triangle; no checks."""
+def hermitian_to_coords(h: np.ndarray) -> np.ndarray:
+    """Low-level isometric vectorization of a Hermitian d x d matrix.
+
+    A stack of shape (..., d, d) maps to coordinates of shape (..., d^2),
+    read from the upper triangle.
+    """
+    h = np.asarray(h, dtype=complex)
+    if np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())) > HERMITICITY_TOL:
+        raise ValueError("input is not Hermitian within tolerance")
     d = h.shape[-1]
     iu, ju = _triu(d)
     x = np.empty(h.shape[:-2] + (d * d,))
@@ -148,8 +155,11 @@ def _to_coords(h: np.ndarray) -> np.ndarray:
     return x
 
 
-def _to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian (..., d, d) stack of a (..., d^2) float coordinate stack; no checks."""
+def coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`hermitian_to_coords`: a (..., d^2) stack maps to (..., d, d)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (d * d,):
+        raise ValueError(f"coords length {x.shape} does not match d^2 = {d * d}")
     iu, ju = _triu(d)
     h = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
     h[..., np.arange(d), np.arange(d)] = x[..., :d]
@@ -157,25 +167,6 @@ def _to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
     h[..., iu, ju] = off
     h[..., ju, iu] = off.conjugate()
     return h
-
-
-def hermitian_to_coords(h: np.ndarray) -> np.ndarray:
-    """Low-level isometric vectorization of a Hermitian d x d matrix.
-
-    A stack of shape (..., d, d) maps to coordinates of shape (..., d^2).
-    """
-    h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())) > HERMITICITY_TOL:
-        raise ValueError("input is not Hermitian within tolerance")
-    return _to_coords(h)
-
-
-def coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_coords`."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d * d,):
-        raise ValueError(f"coords length {x.shape} does not match d^2 = {d * d}")
-    return _to_hermitian(x, d)
 
 
 def random_state(basis: ModeBasis, rank: int, seed: int) -> DensityMatrix:

@@ -13,7 +13,8 @@ Two estimators share the least-squares objective || A x - p ||:
 * ``reconstruct_pseudoinverse`` takes the minimum-norm least-squares
   solution A^+ p with no positivity constraint, from the map's least-squares model.
 
-Both report trace-normalized estimates so errors compare shape, not scale.
+Both report trace-normalized estimates so errors compare shape, not scale,
+and I/d for an estimate of degenerate trace.
 ``uniqueness_entropy`` probes solution uniqueness: run the estimator many
 times (random restarts, or random null-space shifts for the baseline),
 stack the estimates' coordinates as columns, and take the Shannon entropy of
@@ -29,7 +30,6 @@ import numpy as np
 
 from .qstate import (
     DensityMatrix,
-    _to_hermitian,
     coords_to_hermitian,
     hermitian_to_coords,
     project_psd,
@@ -89,8 +89,10 @@ class ReconstructionReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _finalize(mmap: MeasurementMap, raw: np.ndarray) -> tuple[DensityMatrix, dict]:
-    """Trace-normalize a Hermitian estimate for reporting."""
+def _finalize(mmap: MeasurementMap, raw: np.ndarray, project: bool = True) -> tuple[DensityMatrix, dict]:
+    """Trace-normalize a Hermitian estimate for reporting, or report I/d when
+    its trace is degenerate. With ``project`` the estimate is a validated
+    state; without, it is left as normalized (the pseudoinverse's)."""
     tr = np.trace(raw).real
     meta: dict = {"raw_trace": float(tr)}
     if abs(tr) < DEGENERATE_TRACE:
@@ -98,11 +100,10 @@ def _finalize(mmap: MeasurementMap, raw: np.ndarray) -> tuple[DensityMatrix, dic
         d = mmap.basis.dim
         return DensityMatrix(mmap.basis, np.eye(d) / d), meta
     est = raw / tr
-    est = 0.5 * (est + est.conj().T)
-    # re-clip tiny negative eigenvalues introduced by normalization rounding
-    est = project_psd(est)
-    est /= np.trace(est).real
-    return DensityMatrix(mmap.basis, est), meta
+    if project:  # re-clip tiny negative eigenvalues introduced by normalization rounding
+        est = project_psd(est)
+        est /= np.trace(est).real
+    return DensityMatrix(mmap.basis, est, validate=project), meta
 
 
 def _jacobian(M: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -183,7 +184,7 @@ def reconstruct_positive(
     s, vt, b, f_res, x, _ = mmap.least_squares(scan)
     scale = float(np.linalg.norm(s * b)) or 1.0  # ||A^T p|| on the kept singular values
     tol = cfg.rel_tolerance
-    M = _to_hermitian(s[:, None] * vt, d)  # (W x)_i = Tr(M_i X)
+    M = coords_to_hermitian(s[:, None] * vt, d)  # (W x)_i = Tr(M_i X)
     # W coords(H) = Wr @ H.view(float).ravel() for a Hermitian H, since Tr(M_i H) = <M_i, H>
     Wr = M.reshape(len(M), -1).view(float)
 
@@ -218,7 +219,7 @@ def reconstruct_positive(
             mu *= LM_RAISE
         return None
 
-    X0 = _to_hermitian(x, d) if initial is None else initial.entries
+    X0 = coords_to_hermitian(x, d) if initial is None else initial.entries
     w, V = np.linalg.eigh(X0)
     k = max(1, int(np.sum(w > RANK_TOL * w[-1])))
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
@@ -315,17 +316,10 @@ def reconstruct_pseudoinverse(
     for metric comparison. The residual ||A x - p|| of the raw estimate is
     kept in the metadata.
     """
-    d = mmap.basis.dim
     model = mmap.least_squares(scan)
-    raw = coords_to_hermitian(model.x, d)
+    est, meta = _finalize(mmap, coords_to_hermitian(model.x, mmap.basis.dim), project=False)
     residual = math.sqrt(2.0 * model.f_res)  # ||A x - p|| at x = A^+ p, without cancellation
-    tr = np.trace(raw).real
-    meta = {"raw_trace": float(tr), "raw_residual": residual}
-    if abs(tr) < DEGENERATE_TRACE:
-        meta["degenerate_normalization"] = True
-        est = DensityMatrix(mmap.basis, np.eye(d) / d)
-    else:
-        est = DensityMatrix(mmap.basis, raw / tr, validate=False)
+    meta["raw_residual"] = residual
     return ReconstructionReport(
         estimate=est,
         objective_history=[residual],
@@ -356,7 +350,8 @@ def multistart_estimates(
 
     positive branch: each run starts from a random projected Ginibre state.
     pseudoinverse branch: each run adds a random null-space component
-    (Gaussian coefficients, scale ||A^+ p|| / 10) to the baseline solution.
+    (Gaussian coefficients, scale ||A^+ p|| / 10) to the baseline solution,
+    normalized as :func:`reconstruct_pseudoinverse` reports it.
     """
     if cfg.multistart < 2:
         raise ValueError("uniqueness diagnostic needs multistart >= 2")
@@ -379,9 +374,8 @@ def multistart_estimates(
         scale = float(np.linalg.norm(x0)) / 10.0
         for i in range(cfg.multistart):
             x = x0 + null_basis.T @ rng.normal(size=null_basis.shape[0]) * scale
-            raw = coords_to_hermitian(x, d)
-            tr = np.trace(raw).real
-            columns[:, i] = hermitian_to_coords(raw / tr) if abs(tr) > DEGENERATE_TRACE else x
+            est, _ = _finalize(mmap, coords_to_hermitian(x, d), project=False)
+            columns[:, i] = hermitian_to_coords(est.entries)
     return columns
 
 

@@ -418,6 +418,23 @@ def test_cli_unparsable_spec_exits_2(tmp_path, capsys, write, message):
     assert "spec file is not valid JSON" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("[1, 2]", []),
+        ("[1, 2]", ["--seed", "3"]),
+        ("[1, 2]", ["--set", "seed=3"]),
+        ('"x"', ["--set", "basis.ell_max=2"]),
+    ],
+    ids=["a list", "a list with --seed", "a list with --set", "a string with a nested --set"],
+)
+def test_cli_spec_not_an_object_exits_2(tmp_path, capsys, text, flags):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["simulate", "--spec", str(path), "--out", str(tmp_path), *flags]) == EXIT_SPEC
+    assert "spec must be a JSON object" in capsys.readouterr().err
+
+
 def test_cli_bad_set_exits_2(capsys):
     assert main(["simulate", "--set", "no_equals_sign"]) == EXIT_SPEC
     capsys.readouterr()
@@ -471,6 +488,11 @@ def test_cli_bad_set_exits_2(capsys):
         ("error-sweep", ["geometry.planes=[0,1]", "z_values=[1,3]"], "Z = 3 needs more planes than"),
         ("rank-analysis", ["geometry.planes=[0,1]", "z_max=3"], "Z = 3 needs more planes than"),
         ("error-sweep", ["basis.ell_max=3", "state.kind=test", "state.p=0.5", "state.theta=0.3"], "random states"),
+        ("simulate", ["basis.ell_max=171", "geometry.n_pixels_per_side=1"], "basis.ell_max, the basis's largest |ell|"),
+        ("simulate", ["basis.ell_max=1e30"], "must be at most 170, got 1000000000000000019884624838656"),
+        ("simulate", ["basis.kind=nonnegative", "basis.d=172"], "basis.d - 1, the basis's largest |ell|, must be"),
+        ("simulate", ["state.kind=file"], "state.kind 'file' requires state.path"),
+        ("simulate", ["basis=3", "basis.ell_max=2"], "--set path 'basis.ell_max' collides with a scalar field"),
     ],
     ids=[
         "basis not an object",
@@ -514,6 +536,11 @@ def test_cli_bad_set_exits_2(capsys):
         "sweep Z beyond the explicit planes",
         "rank-analysis Z beyond the explicit planes",
         "error sweep over a test state",
+        "ell_max beyond 170",
+        "ell_max beyond a double's integers",
+        "nonnegative basis beyond 170",
+        "file state without a path",
+        "dotted path through a scalar",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):

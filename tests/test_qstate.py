@@ -85,6 +85,34 @@ def test_roundtrip_and_isometry(seed, d):
     assert abs(hs - cx @ cy) < 1e-12
 
 
+def test_coords_stack_maps_row_by_row():
+    x = np.random.default_rng(7).normal(size=(2, 9))
+    h = coords_to_hermitian(x, 3)
+    assert h.shape == (2, 3, 3)
+    for row, hr in zip(x, h):
+        np.testing.assert_array_equal(hr, coords_to_hermitian(row, 3))
+    np.testing.assert_allclose(hermitian_to_coords(h), x, atol=1e-15)
+
+
+BAD_INPUTS = {
+    "coords of the wrong length": (lambda: coords_to_hermitian(np.zeros(8), 3), r"does not match d\^2 = 9"),
+    "coords stack of the wrong length": (lambda: coords_to_hermitian(np.zeros((2, 8)), 3), "does not match d"),
+    "projection of a non-Hermitian matrix": (
+        lambda: project_psd(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)),
+        "not Hermitian",
+    ),
+    "negative ell_max": (lambda: ModeBasis.symmetric_span(-1), "ell_max must be nonnegative, got -1"),
+    "empty nonnegative span": (lambda: ModeBasis.nonnegative_span(0), "dimension must be positive, got 0"),
+    "missing mode": (lambda: ModeBasis((0, 1)).index_of(2), "azimuthal index 2 not in basis"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_unit_norm_maps_to_unit_coords():
     x = random_hermitian(5, 3)
     x /= math.sqrt(np.trace(x @ x).real)

@@ -469,6 +469,33 @@ def test_intensity_scan_rejects_non_finite_values(value):
         IntensityScan(ScanGeometry(2, 3.0, (0.0,)), values)
 
 
+BAD_INPUTS = {
+    "no planes": (lambda: default_planes(0), "need at least one plane, got 0"),
+    "scan of the wrong length": (
+        lambda: IntensityScan(ScanGeometry(2, 3.0, (0.0,)), np.full(3, 0.25)),
+        "does not match geometry",
+    ),
+    "negative intensity": (
+        lambda: IntensityScan(ScanGeometry(2, 3.0, (0.0,)), np.array([0.25, -0.5, 0.25, 0.25])),
+        "nonnegative, got -0.5",
+    ),
+    "unknown noise model": (
+        lambda: simulate_scan(
+            random_state(ModeBasis.symmetric_span(1), 1, seed=0),
+            build_measurement_map(ModeBasis.symmetric_span(1), ScanGeometry(3, 3.0, (0.0,))),
+            "gaussian",
+        ),
+        "unknown noise model 'gaussian'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_simulate_noiseless_matches_map():
     basis = ModeBasis.symmetric_span(1)
     mmap = build_measurement_map(basis, ScanGeometry.default(1))

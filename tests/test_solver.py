@@ -9,8 +9,7 @@ from oamtomo.experiments import derive_seed
 from oamtomo.qstate import (
     DensityMatrix,
     ModeBasis,
-    _to_coords,
-    _to_hermitian,
+    coords_to_hermitian,
     hermitian_to_coords,
     hs_error,
     random_state,
@@ -202,7 +201,7 @@ def test_jacobian_matches_direction_stack(n_planes, width):
     L = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
     E = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
 
-    M = _to_hermitian(W, d)
+    M = coords_to_hermitian(W, d)
     J = _jacobian(M, L)
     assert J.shape == (W.shape[0], 2 * d * k)
     # k = 1 solves through J^T J, k = d through J J^T
@@ -211,18 +210,18 @@ def test_jacobian_matches_direction_stack(n_planes, width):
     dirs = np.eye(d * k).reshape(d * k, d, k)
     dirs = np.concatenate([dirs, 1j * dirs])
     T = dirs @ L.conj().T
-    reference = W @ _to_coords(T + np.swapaxes(T, -1, -2).conj()).T
+    reference = W @ hermitian_to_coords(T + np.swapaxes(T, -1, -2).conj()).T
     assert np.linalg.norm(J - reference) <= 1e-12 * np.linalg.norm(reference)
 
     step = J @ np.concatenate([E.real.ravel(), E.imag.ravel()])
-    expected = W @ _to_coords(E @ L.conj().T + L @ E.conj().T)
+    expected = W @ hermitian_to_coords(E @ L.conj().T + L @ E.conj().T)
     assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
     Wr = M.reshape(len(M), -1).view(float)
     H = E @ L.conj().T + L @ E.conj().T
     assert np.linalg.norm(Wr @ H.view(float).ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
     r = rng.normal(size=len(W))
-    S = _to_hermitian(W.T @ r, d)
+    S = coords_to_hermitian(W.T @ r, d)
     assert np.linalg.norm((r @ Wr).view(complex).reshape(d, d) - S) <= 1e-12 * np.linalg.norm(S)
 
 
@@ -345,6 +344,17 @@ def test_pseudoinverse_degenerate_trace_flagged():
     rep = reconstruct_pseudoinverse(mmap, scan)
     assert rep.metadata.get("degenerate_normalization") is True
     np.testing.assert_allclose(rep.estimate.entries, np.eye(3) / 3)
+
+
+def test_pseudoinverse_multistart_of_degenerate_trace_is_identity():
+    """Each column is normalized as reconstruct_pseudoinverse reports its estimate: I/d."""
+    _, mmap, _, _ = ic_setup(d=3)
+    scan = IntensityScan(mmap.geometry, np.zeros(mmap.matrix.shape[0]))
+    columns = multistart_estimates(mmap, scan, SolverConfig(multistart=3), "pseudoinverse")
+    expected = hermitian_to_coords(reconstruct_pseudoinverse(mmap, scan).estimate.entries)
+    np.testing.assert_array_equal(expected, hermitian_to_coords(np.eye(3) / 3))
+    for column in columns.T:
+        np.testing.assert_array_equal(column, expected)
 
 
 DARK_CALLS = {
