@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(args.spec, encoding="utf-8") as fh:
                     obj = json.load(fh)
-            except (OSError, ValueError) as exc:  # unreadable or missing, not UTF-8 text, or not JSON
+            except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON, too deep
                 raise SpecValidationError([f"spec file is not valid JSON: {exc}"]) from exc
         else:
             obj = {}

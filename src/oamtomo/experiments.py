@@ -8,7 +8,6 @@ execution order or worker count.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -203,7 +202,6 @@ _SOLVER_FIELDS = {
     "max_iterations": _integer("solver.max_iterations", None, 1),
     "rel_tolerance": _positive("solver.rel_tolerance", None),
     "multistart": _integer("solver.multistart", None, 1),
-    "seed": _integer("solver.seed", None, 0),
 }
 # every accepted spec field by dotted path: the attribute it sets ("solver.x": SolverConfig.x), its check
 _PATHS = {f.metadata["path"]: (f.name, f.metadata) for f in fields(ExperimentSpec) if f.metadata}
@@ -231,7 +229,7 @@ def _check_fields(obj: dict, values: dict, problems: list[str], prefix: str = ""
 
 
 def _apply_override(obj: dict, assignment: str) -> None:
-    """Apply a dotted key=value override in place; values parse as JSON first."""
+    """Apply a dotted key=value override, copying each block it writes into; values parse as JSON first."""
     key, equals, raw = assignment.partition("=")
     if not equals:
         raise SpecValidationError([f"--set expects key=value, got {assignment!r}"])
@@ -239,11 +237,15 @@ def _apply_override(obj: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise SpecValidationError([f"--set {key}: the value nests too deeply to parse"]) from None
     *blocks, name = key.split(".")
     for block in blocks:
-        obj = obj.setdefault(block, {})
-        if not isinstance(obj, dict):
+        inner = obj.get(block, {})
+        if not isinstance(inner, dict):
             raise SpecValidationError([f"--set path {key!r} collides with a scalar field"])
+        obj[block] = dict(inner)
+        obj = obj[block]
     obj[name] = value
 
 
@@ -258,7 +260,7 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
     """
     if not isinstance(obj, dict):
         raise SpecValidationError(["spec must be a JSON object"])
-    obj = copy.deepcopy(obj)
+    obj = dict(obj)
     for assignment in overrides:
         _apply_override(obj, assignment)
     problems: list[str] = []
@@ -455,8 +457,8 @@ def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
     result = report_to_json_dict(rep)
     result["metadata"]["independent_detections"] = n_det
     result["metadata"]["informationally_complete"] = bool(n_det >= basis.dim**2)
-    if spec.compute_entropy:
-        result["uniqueness_entropy"] = uniqueness_entropy(mmap, scan, spec.solver)
+    if spec.compute_entropy:  # the run's one random draw: the restarts, seeded by the spec's seed
+        result["uniqueness_entropy"] = uniqueness_entropy(mmap, scan, replace(spec.solver, seed=spec.seed))
 
     os.makedirs(out_dir, exist_ok=True)
     pred_geom = replace(scan.geometry, planes=spec.predict_planes)

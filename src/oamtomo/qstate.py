@@ -169,11 +169,11 @@ def coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
     return h
 
 
-def random_state(basis: ModeBasis, rank: int, seed: int) -> DensityMatrix:
+def random_state(basis: ModeBasis, rank: int, seed: int | np.random.Generator) -> DensityMatrix:
     """Random rank-r density matrix from the Ginibre ensemble.
 
     rho = G G^dag / Tr(G G^dag) with G a d x r standard complex normal
-    matrix; deterministic per seed.
+    matrix, drawn from ``seed``: an int seeds a new generator, a Generator goes on with its own stream.
     """
     d = basis.dim
     if not 1 <= rank <= d:
@@ -235,7 +235,7 @@ def state_from_json_dict(obj: dict) -> DensityMatrix:
         # JSON integers and numbers only: int() and float() would read 1.5 as 1, true as 1 and "0.5" as 0.5
         if type(ells) is not list or any(type(x) is not int for x in ells):
             raise ValueError(f"mode indices must be integers, got {ells!r}")
-        if any(type(x) not in (int, float) for x in (*re.flat, *im.flat)):
+        if any(type(x) not in (int, float) for x in (*re.ravel(), *im.ravel())):  # .flat stops at 32 dims
             raise ValueError("entries must be numbers")
         basis = ModeBasis(tuple(ells))
         entries = re.astype(float) + 1j * im.astype(float)
@@ -253,6 +253,6 @@ def read_state_json(path) -> DensityMatrix:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 text, or nested too deeply
             raise StateValidationError(f"state file is not valid JSON: {exc}") from exc
     return state_from_json_dict(obj)

@@ -33,6 +33,7 @@ from .qstate import (
     coords_to_hermitian,
     hermitian_to_coords,
     project_psd,
+    random_state,
     state_to_json_dict,
 )
 from .sensor import IntensityScan, MeasurementMap
@@ -348,7 +349,7 @@ def multistart_estimates(
 ) -> np.ndarray:
     """Coordinates of cfg.multistart estimator runs, one column per run.
 
-    positive branch: each run starts from a random projected Ginibre state.
+    positive branch: each run starts from a full-rank :func:`random_state`, all from one generator.
     pseudoinverse branch: each run adds a random null-space component
     (Gaussian coefficients, scale ||A^+ p|| / 10) to the baseline solution,
     normalized as :func:`reconstruct_pseudoinverse` reports it.
@@ -362,11 +363,7 @@ def multistart_estimates(
     columns = np.empty((d * d, cfg.multistart))
     if branch == "positive":
         for i in range(cfg.multistart):
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            rho0 = g @ g.conj().T
-            rho0 /= np.trace(rho0).real
-            init = DensityMatrix(mmap.basis, 0.5 * (rho0 + rho0.conj().T))
-            rep = reconstruct_positive(mmap, scan, cfg, init)
+            rep = reconstruct_positive(mmap, scan, cfg, random_state(mmap.basis, d, rng))
             columns[:, i] = hermitian_to_coords(rep.estimate.entries)
     else:
         model = mmap.least_squares(scan)

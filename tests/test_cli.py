@@ -407,8 +407,9 @@ def test_cli_invalid_spec_exits_2(tmp_path, capsys):
         (lambda p: p.mkdir(), "Is a directory"),
         (lambda p: p.write_bytes(b'{"kind": "simulate", "output": "\xff"}'), "can't decode byte 0xff"),
         (lambda p: None, "No such file or directory"),
+        (lambda p: p.write_text("[" * 100000 + "]" * 100000), "maximum recursion depth exceeded"),
     ],
-    ids=["not JSON", "a directory", "not UTF-8", "missing"],
+    ids=["not JSON", "a directory", "not UTF-8", "missing", "nested too deeply"],
 )
 def test_cli_unparsable_spec_exits_2(tmp_path, capsys, write, message):
     path = tmp_path / "spec.json"
@@ -433,6 +434,23 @@ def test_cli_spec_not_an_object_exits_2(tmp_path, capsys, text, flags):
     path.write_text(text)
     assert main(["simulate", "--spec", str(path), "--out", str(tmp_path), *flags]) == EXIT_SPEC
     assert "spec must be a JSON object" in capsys.readouterr().err
+
+
+def test_cli_spec_with_a_deep_value_exits_2(tmp_path, capsys):
+    """An override copies only the blocks it writes into, so a spec value nested
+    deeper than a recursive copy can go is reported as any unknown field is."""
+    path = tmp_path / "spec.json"
+    path.write_text('{"x": ' + "[" * 600 + "]" * 600 + "}")
+    args = ["simulate", "--spec", str(path), "--out", str(tmp_path), "--set", "basis.ell_max=1"]
+    assert main(args) == EXIT_SPEC
+    assert capsys.readouterr().err.splitlines() == ["invalid experiment spec:", "  unknown field 'x'"]
+
+
+def test_parse_spec_leaves_the_callers_spec_as_it_was():
+    obj = {"kind": "simulate", "basis": {"ell_max": 3}}
+    spec = parse_spec(obj, overrides=["basis.ell_max=2", "geometry.n_pixels_per_side=5"])
+    assert (spec.ell_max, spec.n_pixels_per_side) == (2, 5)
+    assert obj == {"kind": "simulate", "basis": {"ell_max": 3}}
 
 
 def test_cli_bad_set_exits_2(capsys):
@@ -493,6 +511,8 @@ def test_cli_bad_set_exits_2(capsys):
         ("simulate", ["basis.kind=nonnegative", "basis.d=172"], "basis.d - 1, the basis's largest |ell|, must be"),
         ("simulate", ["state.kind=file"], "state.kind 'file' requires state.path"),
         ("simulate", ["basis=3", "basis.ell_max=2"], "--set path 'basis.ell_max' collides with a scalar field"),
+        ("simulate", ["x=" + "[" * 100000], "--set x: the value nests too deeply to parse"),
+        ("simulate", ["solver.seed=1"], "unknown field 'solver.seed'"),
     ],
     ids=[
         "basis not an object",
@@ -541,6 +561,8 @@ def test_cli_bad_set_exits_2(capsys):
         "nonnegative basis beyond 170",
         "file state without a path",
         "dotted path through a scalar",
+        "--set value nested too deeply",
+        "a second seed in the solver block",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):
@@ -620,6 +642,18 @@ MALFORMED_FILES = {
         EXIT_DATA,
     ),
     "state entry infinite": ("simulate", diagonal_state(np.inf), "invariants violated: finite entries", EXIT_DATA),
+    "state file nested too deeply": (
+        "simulate",
+        lambda p: p.write_text('{"ells": ' + "[" * 100000 + "]" * 100000 + ', "re": [[1]], "im": [[0]]}'),
+        "state file is not valid JSON: maximum recursion depth exceeded",
+        EXIT_DATA,
+    ),
+    "state entries nested 33 deep": (
+        "simulate",
+        lambda p: p.write_text('{"ells": [0], "re": [[0.5]], "im": ' + "[" * 33 + "0" + "]" * 33 + "}"),
+        "entries shape (1, 1, 1,",
+        EXIT_DATA,
+    ),
     "scan not UTF-8": (
         "reconstruct",
         lambda p: p.write_bytes(b"plane_index,zeta,px,py,value\n0,0.0,0,0,\xff\n"),
@@ -841,6 +875,20 @@ def test_cli_validate_lets_a_reader_bug_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "read_scan_csv", broken)
     with pytest.raises(RuntimeError, match="reader bug"):
         main(["validate", "--set", f'scan_file="{path}"'])
+
+
+def test_cli_seed_flag_seeds_the_reconstruct_restarts(tmp_path, capsys, monkeypatch):
+    """A reconstruct's one random draw, the multistart's starting states, is
+    seeded by the spec's seed, which --seed sets."""
+    assert main(["simulate", "--out", str(tmp_path), *(f"--set={a}" for a in TINY)]) == EXIT_OK
+    seen = []
+    monkeypatch.setattr(experiments, "uniqueness_entropy", lambda mmap, scan, cfg: seen.append(cfg.seed) or 0.0)
+    args = ["reconstruct", "--out", str(tmp_path), *(f"--set={a}" for a in TINY)]
+    args += ["--set", "compute_entropy=true", "--set", f'scan_file="{tmp_path / "scan.csv"}"']
+    assert main([*args, "--seed", "5"]) == EXIT_OK
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    assert seen == [5, 0]
 
 
 def test_cli_seed_flag_changes_simulation(tmp_path, capsys):

@@ -23,6 +23,13 @@ from oamtomo.qstate import (
 )
 
 
+def nested(value, depth: int):
+    """value inside depth levels of one-item lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def random_hermitian(d, seed):
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -104,6 +111,15 @@ BAD_INPUTS = {
     "negative ell_max": (lambda: ModeBasis.symmetric_span(-1), "ell_max must be nonnegative, got -1"),
     "empty nonnegative span": (lambda: ModeBasis.nonnegative_span(0), "dimension must be positive, got 0"),
     "missing mode": (lambda: ModeBasis((0, 1)).index_of(2), "azimuthal index 2 not in basis"),
+    # numpy's flat iterator stops at 32 dimensions; past 64 the innermost lists stay Python objects
+    "state entries nested 33 deep": (
+        lambda: state_from_json_dict({"ells": [0], "re": [[0.5]], "im": nested(0, 33)}),
+        r"entries shape \(1, 1, 1, .*\) does not match basis dimension 1",
+    ),
+    "state entries nested 65 deep": (
+        lambda: state_from_json_dict({"ells": [0], "re": [[0.5]], "im": nested(0, 65)}),
+        "entries must be numbers",
+    ),
 }
 
 
@@ -148,6 +164,25 @@ def test_random_state_rank_counts():
             rho = random_state(b, rank, seed)
             eigs = np.linalg.eigvalsh(rho.entries)
             assert int(np.sum(eigs > 1e-8)) == rank
+
+
+def test_random_state_from_a_generator():
+    """A generator is drawn from as it stands: two calls from one generator give
+    the next two Ginibre draws written out by hand, and an int seed acts as the
+    generator it seeds."""
+    b = ModeBasis.symmetric_span(2)
+    d = b.dim
+    rng, hand = np.random.default_rng(3), np.random.default_rng(3)
+    first, second = random_state(b, d, rng), random_state(b, d, rng)
+    for rho in (first, second):
+        g = hand.normal(size=(d, d)) + 1j * hand.normal(size=(d, d))
+        rho0 = g @ g.conj().T
+        rho0 /= np.trace(rho0).real
+        np.testing.assert_array_equal(rho.entries, 0.5 * (rho0 + rho0.conj().T))
+    assert not np.array_equal(first.entries, second.entries)
+    for rank in (1, 3, d):
+        from_int, from_generator = random_state(b, rank, 7), random_state(b, rank, np.random.default_rng(7))
+        np.testing.assert_array_equal(from_int.entries, from_generator.entries)
 
 
 def test_random_state_rejects_bad_rank():
