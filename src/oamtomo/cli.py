@@ -9,8 +9,8 @@ Subcommands map one-to-one onto the harness experiments:
     oamtomo simulate       --spec spec.json
     oamtomo validate       --set scan_file=scan.csv
 
-Exit codes: 0 success, 2 spec error (an unreadable --spec included), 3 data
-error (an unusable data file or --out included), 4 non-convergence under --strict.
+Exit codes: 0 success, 2 spec error (an unreadable --spec or a run memory cannot
+hold), 3 data error (an unusable data file or --out), 4 non-convergence under --strict.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    kind = _SUBCOMMANDS[args.command]
     try:
         if args.spec:
             try:
@@ -72,26 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             obj = {}
         seed = [] if args.seed is None else [f"seed={args.seed}"]
-        spec = parse_spec(obj, kind=kind, overrides=args.overrides + seed)
+        spec = parse_spec(obj, kind=_SUBCOMMANDS[args.command], overrides=args.overrides + seed)
         spec.threads = max(1, args.threads)
         spec.strict = bool(args.strict)
-        result = run_experiment(spec, out_dir=args.out)
-        if kind == "validate":
-            if result:
-                for problem in result:
-                    print(problem, file=sys.stderr)
-                return EXIT_DATA
-            print("all files valid")
-            return EXIT_OK
-        if kind == "rank_analysis":
-            for row in result:
-                print(f"Z={row['Z']}: n_Z={row['n_detections']}")
-        elif kind in ("error_sweep", "entropy_sweep"):
-            print(f"wrote {len(result)} sweep cells")
-        elif kind == "reconstruct":
-            print(f"report written to {result['report_file']}")
-        elif kind == "simulate":
-            print(f"scan written to {result}")
+        print(run_experiment(spec, out_dir=args.out))
         return EXIT_OK
     except SpecValidationError as exc:
         print(exc, file=sys.stderr)

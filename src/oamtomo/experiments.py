@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Callable, Sequence
@@ -219,20 +220,20 @@ def _check_fields(obj: dict, values: dict, problems: list[str], prefix: str = ""
         if path in _BLOCKS and isinstance(value, dict):
             _check_fields(value, values, problems, path + ".")
         elif path in _BLOCKS:
-            problems.append(f"{path} must be an object, got {value!r}")
+            problems.append(f"{path} must be an object, got {reprlib.repr(value)}")
         elif check is None:
-            problems.append(f"unknown field {path!r}")
+            problems.append(f"unknown field {reprlib.repr(path)}")
         elif check["ok"](value):
             values[attr] = check["convert"](value)
         else:
-            problems.append(f"{path} must be {check['must']}, got {value!r}")
+            problems.append(f"{path} must be {check['must']}, got {reprlib.repr(value)}")
 
 
 def _apply_override(obj: dict, assignment: str) -> None:
     """Apply a dotted key=value override, copying each block it writes into; values parse as JSON first."""
     key, equals, raw = assignment.partition("=")
     if not equals:
-        raise SpecValidationError([f"--set expects key=value, got {assignment!r}"])
+        raise SpecValidationError([f"--set expects key=value, got {reprlib.repr(assignment)}"])
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -243,7 +244,7 @@ def _apply_override(obj: dict, assignment: str) -> None:
     for block in blocks:
         inner = obj.get(block, {})
         if not isinstance(inner, dict):
-            raise SpecValidationError([f"--set path {key!r} collides with a scalar field"])
+            raise SpecValidationError([f"--set path {reprlib.repr(key)} collides with a scalar field"])
         obj[block] = dict(inner)
         obj = obj[block]
     obj[name] = value
@@ -277,12 +278,12 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
     d_max = 2 * spec.ell_max + 1 if symmetric else spec.d
     ell_top, top = (spec.ell_max, "basis.ell_max") if symmetric else (spec.d - 1, "basis.d - 1")
     if ell_top > _MAX_ELL:
-        problems.append(f"{top}, the basis's largest |ell|, must be at most {_MAX_ELL}, got {ell_top}")
+        problems.append(f"{top}, the basis's largest |ell|, must be at most {_MAX_ELL}, got {reprlib.repr(ell_top)}")
     # a rank above d is skipped, but a sweep with no rank in [1, d] has no cells
     if min(spec.ranks) > d_max:
-        problems.append(f"ranks must include one at most d = {d_max}, got {list(spec.ranks)}")
+        problems.append(f"ranks must include one at most d = {d_max}, got {reprlib.repr(list(spec.ranks))}")
     if spec.state_rank > d_max:
-        problems.append(f"state.rank must be at most d = {d_max}, got {spec.state_rank}")
+        problems.append(f"state.rank must be at most d = {d_max}, got {reprlib.repr(spec.state_rank)}")
     if spec.kind == "error_sweep" and spec.state_kind != "random":
         problems.append(f"an error sweep's ranks draw random states; state.kind {spec.state_kind!r} is not 'random'")
     if spec.state_kind == "test" and not (symmetric and spec.ell_max >= 3):
@@ -297,7 +298,7 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
     sweep = spec.kind in ("rank_analysis", "error_sweep", "entropy_sweep")  # each takes the first Z planes
     z_top = spec.z_max if spec.kind == "rank_analysis" else max(spec.z_values)
     if sweep and spec.planes and z_top > len(spec.planes):
-        problems.append(f"Z = {z_top} needs more planes than the {len(spec.planes)} of geometry.planes")
+        problems.append(f"Z = {reprlib.repr(z_top)} needs more planes than the {len(spec.planes)} of geometry.planes")
     if spec.noise_kind == "poisson" and spec.photon_budget is None:
         problems.append("noise.photon_budget is required for poisson noise")
     entropy = spec.kind == "entropy_sweep" or (spec.kind == "reconstruct" and spec.compute_entropy)
@@ -488,21 +489,23 @@ def run_simulate(spec: ExperimentSpec, out_dir: str = ".") -> str:
     return path
 
 
-def run_validate(spec: ExperimentSpec) -> list[str]:
-    """Check data files against their format contracts; returns diagnostics. A
-    fault inside a reader, not in the data, propagates."""
-    problems = []
+def run_validate(spec: ExperimentSpec) -> None:
+    """Check data files against their format contracts; all diagnostics are raised as one ScanFormatError
+    if the scan file failed, else StateValidationError. A fault inside a reader, not in the data, propagates."""
+    problems, error = [], StateValidationError
     if spec.scan_file:
         try:
             read_scan_csv(spec.scan_file, extent=spec.extent)
         except (ScanFormatError, OSError) as exc:
             problems.append(f"scan_file: {exc}")
+            error = ScanFormatError
     if spec.state_file:
         try:
             read_state_json(spec.state_file)
         except (StateValidationError, OSError) as exc:
             problems.append(f"state_file: {exc}")
-    return problems
+    if problems:
+        raise error("\n".join(problems))
 
 
 def write_sweep_csv(path: str, rows: list[dict]) -> None:
@@ -516,23 +519,30 @@ def write_sweep_csv(path: str, rows: list[dict]) -> None:
             fh.write(",".join(str(row[c]) for c in cols) + "\n")
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str = ".") -> Any:
-    """Dispatch on spec.kind and write the configured outputs."""
+def run_experiment(spec: ExperimentSpec, out_dir: str = ".") -> str:
+    """Run spec.kind, write its outputs under out_dir, and return the text that reports them."""
     os.makedirs(out_dir, exist_ok=True)
-    sweep_csv = os.path.join(out_dir, spec.output or f"{spec.kind}.csv")
     sweeps = {
         "rank_analysis": run_rank_analysis,
         "error_sweep": run_error_sweep,
         "entropy_sweep": run_entropy_sweep,
     }
-    if spec.kind in sweeps:
-        rows = sweeps[spec.kind](spec)
-        write_sweep_csv(sweep_csv, rows)
-        return rows
-    if spec.kind == "reconstruct":
-        return run_reconstruct(spec, out_dir)
-    if spec.kind == "simulate":
-        return run_simulate(spec, out_dir)
-    if spec.kind == "validate":
-        return run_validate(spec)
+    try:
+        if spec.kind in sweeps:
+            rows = sweeps[spec.kind](spec)
+            write_sweep_csv(os.path.join(out_dir, spec.output or f"{spec.kind}.csv"), rows)
+            if spec.kind == "rank_analysis":
+                return "\n".join(f"Z={row['Z']}: n_Z={row['n_detections']}" for row in rows)
+            return f"wrote {len(rows)} sweep cells"
+        if spec.kind == "reconstruct":
+            return f"report written to {run_reconstruct(spec, out_dir)['report_file']}"
+        if spec.kind == "simulate":
+            return f"scan written to {run_simulate(spec, out_dir)}"
+        if spec.kind == "validate":
+            run_validate(spec)
+            return "all files valid"
+    except MemoryError:  # the spec check bounds |ell|, not d or the grid
+        n = spec.n_pixels_per_side
+        grid = f"the grid of {spec.scan_file}" if spec.scan_file else f"a {n}x{n} grid"
+        raise SpecValidationError([f"the run does not fit in memory: d = {spec.basis().dim} on {grid}"]) from None
     raise SpecValidationError([f"unknown kind {spec.kind!r}"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,9 @@ class ModeBasis:
         if len(ells) == 0:
             raise ValueError("mode basis must contain at least one index")
         if len(set(ells)) != len(ells):
-            raise ValueError(f"duplicate azimuthal indices in {ells}")
+            raise ValueError(f"duplicate azimuthal indices in {reprlib.repr(ells)}")
         if list(ells) != sorted(ells):
-            raise ValueError(f"azimuthal indices must be sorted ascending, got {ells}")
+            raise ValueError(f"azimuthal indices must be sorted ascending, got {reprlib.repr(ells)}")
         object.__setattr__(self, "ells", ells)
 
     @classmethod
@@ -234,7 +235,7 @@ def state_from_json_dict(obj: dict) -> DensityMatrix:
         ells, re, im = obj["ells"], np.asarray(obj["re"], dtype=object), np.asarray(obj["im"], dtype=object)
         # JSON integers and numbers only: int() and float() would read 1.5 as 1, true as 1 and "0.5" as 0.5
         if type(ells) is not list or any(type(x) is not int for x in ells):
-            raise ValueError(f"mode indices must be integers, got {ells!r}")
+            raise ValueError(f"mode indices must be integers, got {reprlib.repr(ells)}")
         if any(type(x) not in (int, float) for x in (*re.ravel(), *im.ravel())):  # .flat stops at 32 dims
             raise ValueError("entries must be numbers")
         basis = ModeBasis(tuple(ells))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -398,8 +399,9 @@ def _parsed_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
         try:
             j, zeta, px, py = int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
             value = float(parts[4])
-        except ValueError as exc:
-            raise ScanFormatError(f"line {lineno}: {exc}") from exc
+        except ValueError as exc:  # float() quotes the whole field, which a file can make any length
+            text = str(exc)
+            raise ScanFormatError(f"line {lineno}: {text if len(text) <= 150 else text[:147] + '...'}") from exc
         if not -(2**63) <= min(px, py) <= max(px, py) < 2**63:
             raise ScanFormatError(f"line {lineno}: pixel index ({px}, {py}) does not fit in 64 bits")
         rows.append((j if -(2**63) <= j < 2**63 else -1, zeta, px, py, value))  # -1: no plane has this index
@@ -419,7 +421,7 @@ def _scan_rows(path) -> tuple[np.ndarray, np.ndarray]:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if header != SCAN_HEADER:
-                raise ScanFormatError(f"line 1: expected header {SCAN_HEADER!r}, got {header!r}")
+                raise ScanFormatError(f"line 1: expected header {SCAN_HEADER!r}, got {reprlib.repr(header)}")
             body = fh.read()
     except UnicodeDecodeError as exc:
         raise ScanFormatError(f"scan file is not UTF-8 text: {exc}") from exc

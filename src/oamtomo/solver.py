@@ -387,11 +387,12 @@ def uniqueness_entropy(
 
 
 def report_to_json_dict(rep: ReconstructionReport) -> dict:
+    """The report's JSON record; its metadata is a copy, so a caller may add to it."""
     return {
         "estimate": state_to_json_dict(rep.estimate),
         "objective_history": list(rep.objective_history),
         "iterations_used": rep.iterations_used,
         "converged": rep.converged,
         "uniqueness_entropy": None,
-        "metadata": rep.metadata,
+        "metadata": dict(rep.metadata),
     }

@@ -14,13 +14,16 @@ from oamtomo.experiments import (
     derive_seed,
     parse_spec,
     run_error_sweep,
+    run_experiment,
     run_rank_analysis,
     run_reconstruct,
     run_simulate,
+    run_validate,
     write_sweep_csv,
 )
 from oamtomo.qstate import (
     ModeBasis,
+    StateValidationError,
     hs_error,
     random_state,
     read_state_json,
@@ -29,6 +32,8 @@ from oamtomo.qstate import (
     write_state_json,
 )
 from oamtomo.sensor import (
+    MeasurementMap,
+    ScanFormatError,
     ScanGeometry,
     build_measurement_map,
     independent_detections,
@@ -258,6 +263,26 @@ def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
     spec.threads = 500
     run_error_sweep(spec)
     assert pools == [2]
+
+
+def test_error_sweep_rejects_a_non_finite_error(monkeypatch):
+    monkeypatch.setattr(experiments, "hs_error", lambda estimate, rho: float("nan"))
+    obj = {"kind": "error_sweep", "basis": {"ell_max": 1}, "geometry": SMALL_GEOM, "trials": 1}
+    spec = parse_spec({**obj, "z_values": [1], "ranks": [1]})
+    with pytest.raises(RuntimeError, match=r"non-finite error in cell ell_max=1, Z=1, rank=1"):
+        run_error_sweep(spec)
+
+
+def test_sweep_csv_of_no_rows_is_an_error(tmp_path):
+    with pytest.raises(ValueError, match="empty sweep result"):
+        write_sweep_csv(tmp_path / "empty.csv", [])
+    assert not (tmp_path / "empty.csv").exists()
+
+
+def test_run_experiment_rejects_an_unknown_kind(tmp_path):
+    """parse_spec admits only known kinds; a spec built by hand is checked where it runs."""
+    with pytest.raises(SpecValidationError, match="unknown kind 'bootstrap'"):
+        run_experiment(ExperimentSpec(kind="bootstrap"), out_dir=str(tmp_path))
 
 
 def test_simulate_then_reconstruct_roundtrip(tmp_path):
@@ -513,6 +538,8 @@ def test_cli_bad_set_exits_2(capsys):
         ("simulate", ["basis=3", "basis.ell_max=2"], "--set path 'basis.ell_max' collides with a scalar field"),
         ("simulate", ["x=" + "[" * 100000], "--set x: the value nests too deeply to parse"),
         ("simulate", ["solver.seed=1"], "unknown field 'solver.seed'"),
+        ("simulate", ["seed=" + "[" * 900 + "]" * 900], "seed must be a nonnegative integer, got [[[[[[[...]]]]]]]"),
+        ("simulate", ["seed=" + "x" * 5000], "seed must be a nonnegative integer, got '" + "x" * 12 + "..."),
     ],
     ids=[
         "basis not an object",
@@ -563,6 +590,8 @@ def test_cli_bad_set_exits_2(capsys):
         "dotted path through a scalar",
         "--set value nested too deeply",
         "a second seed in the solver block",
+        "seed nested 900 deep",
+        "seed a 5000-character string",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):
@@ -570,7 +599,9 @@ def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, messag
     for assignment in overrides:
         args += ["--set", assignment]
     assert main(args) == EXIT_SPEC
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert max(map(len, err.splitlines())) < 200  # a rejected value is echoed in part
 
 
 def test_cli_validate_good_and_bad_scan(tmp_path, capsys):
@@ -586,6 +617,28 @@ def test_cli_validate_good_and_bad_scan(tmp_path, capsys):
     bad.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0,oops\n")
     assert main(["validate", "--set", f'scan_file="{bad}"']) == EXIT_DATA
     assert "line" in capsys.readouterr().err
+
+
+def test_cli_validate_reports_every_bad_file(tmp_path, capsys):
+    """validate reads every file it is given and reports each bad one, scan first,
+    as one data error: of the scan reader's class when the scan failed."""
+    scan = tmp_path / "scan.csv"
+    scan.write_text("plane_index,zeta,px,py,value\n0,nan,0,0,0.5\n")
+    state = tmp_path / "state.json"
+    state.write_text('{"ells": [0, 1], "re": [[NaN, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}')
+    files = ["--set", f'scan_file="{scan}"', "--set", f'state_file="{state}"']
+    assert main(["validate", *files]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "scan_file: line 2: non-finite plane position nan",
+        "state_file: density-matrix invariants violated: finite entries",
+    ]
+    spec = parse_spec({"kind": "validate", "scan_file": str(scan), "state_file": str(state)})
+    with pytest.raises(ScanFormatError):
+        run_validate(spec)
+    with pytest.raises(StateValidationError, match="^state_file: "):
+        run_validate(parse_spec({"kind": "validate", "state_file": str(state)}))
 
 
 def state_record(**fields):
@@ -654,6 +707,12 @@ MALFORMED_FILES = {
         "entries shape (1, 1, 1,",
         EXIT_DATA,
     ),
+    "state mode indices nested 900 deep": (
+        "simulate",
+        state_record(ells=json.loads("[" * 900 + "]" * 900)),
+        "mode indices must be integers, got [[[[[[[...]]]]]]]",
+        EXIT_DATA,
+    ),
     "scan not UTF-8": (
         "reconstruct",
         lambda p: p.write_bytes(b"plane_index,zeta,px,py,value\n0,0.0,0,0,\xff\n"),
@@ -661,6 +720,18 @@ MALFORMED_FILES = {
         EXIT_DATA,
     ),
     "scan file a directory": ("reconstruct", lambda p: p.mkdir(), "regular file", EXIT_SPEC),
+    "scan header of 5000 characters": (
+        "validate",
+        lambda p: p.write_text("y" * 5000 + "\n0,0.0,0,0,1.0\n"),
+        "line 1: expected header 'plane_index,zeta,px,py,value', got '" + "y" * 12 + "..." + "y" * 13 + "'",
+        EXIT_DATA,
+    ),
+    "scan field of 5000 characters": (
+        "validate",
+        lambda p: p.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0," + "x" * 5000 + "\n"),
+        "line 2: could not convert string to float: 'xxxxxxxx",
+        EXIT_DATA,
+    ),
     "scan plane repeated": (
         "reconstruct",
         lambda p: p.write_text("plane_index,zeta,px,py,value\n0,0.0,0,0,1.0\n1,0.0,0,0,1.0\n"),
@@ -734,7 +805,9 @@ def test_cli_malformed_data_file_exits_2_or_3(tmp_path, capsys, command, write, 
     else:
         args += ["--set", f'scan_file="{path}"']
     assert main(args) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert max(map(len, err.splitlines())) < 200  # a rejected value is echoed in part
 
 
 @pytest.mark.parametrize("defect", ["repeats pixel", "non-finite value", "negative value"])
@@ -862,6 +935,34 @@ def test_cli_out_an_existing_file_exits_3(tmp_path, capsys):
     taken.write_text("")
     assert main(["simulate", "--set", "basis.ell_max=1", "--out", str(taken)]) == EXIT_DATA
     assert "File exists" in capsys.readouterr().err
+
+
+def out_of_memory(self):
+    raise MemoryError("Unable to allocate 101. GiB for an array with shape (116281, 116281)")
+
+
+def test_cli_basis_memory_cannot_hold_exits_2(tmp_path, capsys, monkeypatch):
+    """The spec check bounds |ell| by |ell|!, not d by memory; a map whose
+    factorization cannot be allocated is a spec error that names d and the grid.
+    The factorization is made to fail: the real allocation is never tried."""
+    monkeypatch.setattr(MeasurementMap, "svd", property(out_of_memory))
+    args = ["simulate", "--out", str(tmp_path), "--set", "basis.ell_max=170", "--set", "geometry.n_pixels_per_side=1"]
+    assert main(args) == EXIT_SPEC
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid experiment spec:",
+        "  the run does not fit in memory: d = 341 on a 1x1 grid",
+    ]
+
+
+def test_cli_reconstruct_memory_cannot_hold_names_the_scan_file(tmp_path, capsys, monkeypatch):
+    """A reconstruct solves on its scan file's grid, so the diagnostic names the file."""
+    assert main(["simulate", "--out", str(tmp_path), *(f"--set={a}" for a in TINY)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(MeasurementMap, "svd", property(out_of_memory))
+    scan = tmp_path / "scan.csv"
+    args = ["reconstruct", "--out", str(tmp_path), *(f"--set={a}" for a in TINY), "--set", f'scan_file="{scan}"']
+    assert main(args) == EXIT_SPEC
+    assert f"the run does not fit in memory: d = 3 on the grid of {scan}" in capsys.readouterr().err
 
 
 def test_cli_validate_lets_a_reader_bug_propagate(tmp_path, monkeypatch):

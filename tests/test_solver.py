@@ -129,6 +129,25 @@ def test_positive_not_certified_off_the_minimizer():
     assert rep.iterations_used == 10
 
 
+def test_positive_stalls_when_every_damped_solve_fails(monkeypatch):
+    """A damped system that no damping makes solvable rejects every trial, so
+    the solve stops, uncertified, at the last accepted iterate: a valid state."""
+    basis = ModeBasis.symmetric_span(2)
+    mmap = build_measurement_map(basis, ScanGeometry.default(2, n_pixels_per_side=15))
+    scan = simulate_scan(random_state(basis, 2, seed=0), mmap, noise="poisson", photon_budget=1e5, seed=0)
+    start = random_state(basis, 5, seed=100)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    rep = reconstruct_positive(mmap, scan, initial=start)
+    assert rep.metadata["stop_reason"] == "stalled"
+    assert not rep.converged
+    assert rep.iterations_used == 2
+    DensityMatrix(basis, rep.estimate.entries)  # Hermitian, PSD and of unit trace, or it raises
+
+
 def test_positive_drops_halving_columns():
     """Criterion-5 trial (ell_max=7, Z=2, rank 1, trial 0). The map's null
     space makes the start wider than rank 1, and each Gauss-Newton step only
@@ -470,6 +489,15 @@ def test_pseudoinverse_multistart_memory_scales_with_map():
 
 
 # ----------------------------------------------------------------- reporting
+
+
+def test_report_json_dict_copies_the_metadata():
+    """The JSON record is the caller's to extend; the frozen report stays as the solver wrote it."""
+    _, mmap, _, scan = ic_setup(d=3, seed=25, rank=1)
+    rep = reconstruct_positive(mmap, scan)
+    before = dict(rep.metadata)
+    report_to_json_dict(rep)["metadata"]["independent_detections"] = 9
+    assert rep.metadata == before
 
 
 def test_report_json_dict_shape():
