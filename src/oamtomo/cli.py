@@ -23,6 +23,7 @@ from .experiments import (
     KINDS,
     NonConvergenceError,
     SpecValidationError,
+    _message,
     parse_spec,
     run_experiment,
 )
@@ -67,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.spec, encoding="utf-8") as fh:
                     obj = json.load(fh)
             except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON, too deep
-                raise SpecValidationError([f"spec file is not valid JSON: {exc}"]) from exc
+                raise SpecValidationError([f"spec file is not valid JSON: {_message(exc)}"]) from exc
         else:
             obj = {}
         seed = [] if args.seed is None else [f"seed={args.seed}"]
@@ -80,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_SPEC
     except (ScanFormatError, StateValidationError, OSError) as exc:  # bad data, or an unusable file or --out
-        print(exc, file=sys.stderr)
+        print(_message(exc), file=sys.stderr)
         return EXIT_DATA
     except NonConvergenceError as exc:
         print(exc, file=sys.stderr)

@@ -28,6 +28,8 @@ from .qstate import (
     test_state,
 )
 from .sensor import (
+    MAX_ELL,
+    NOISE_MODELS,
     IntensityScan,
     MeasurementMap,
     ScanFormatError,
@@ -40,6 +42,7 @@ from .sensor import (
     write_scan_csv,
 )
 from .solver import (
+    BRANCHES,
     SolverConfig,
     reconstruct_positive,
     reconstruct_pseudoinverse,
@@ -70,8 +73,6 @@ KINDS = (
     "simulate",
     "validate",
 )
-BRANCHES = ("positive", "pseudoinverse")
-_MAX_ELL = 170  # a mode's normalization divides by |ell|!, which beyond 170 exceeds the largest double
 
 
 class SpecValidationError(ValueError):
@@ -93,6 +94,13 @@ def derive_seed(master: int, *indices: int) -> int:
     """Stable per-trial seed from the master seed and index path."""
     ss = np.random.SeedSequence([int(master), *[int(i) for i in indices]])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _message(exc: Exception) -> str:
+    """The text of exc for a diagnostic, an OSError's file name bounded as every echoed value is."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {reprlib.repr(exc.filename)}"
+    return str(exc)
 
 
 def _real(v) -> bool:
@@ -140,15 +148,16 @@ def _planes(path: str, default):
 @dataclass
 class ExperimentSpec:
     """Validated view of the JSON experiment description. Each field a spec
-    sets declares its dotted JSON path, default and check; ``solver`` is set
-    from the ``solver`` block, ``threads`` and ``strict`` only by the caller."""
+    sets declares its dotted JSON path, default and check; the grid, plane
+    and solver-block defaults come from ScanGeometry, default_planes and
+    SolverConfig. ``threads`` and ``strict`` are set only by the caller."""
 
     kind: str = _choice("kind", MISSING, KINDS)
     basis_kind: str = _choice("basis.kind", "symmetric", ("symmetric", "nonnegative"))  # ell_max or d
     ell_max: int = _integer("basis.ell_max", 7, 0)
     d: int = _integer("basis.d", 5, 1)
-    n_pixels_per_side: int = _integer("geometry.n_pixels_per_side", 19, 1)
-    extent: float = _positive("geometry.extent", 3.0)
+    n_pixels_per_side: int = _integer("geometry.n_pixels_per_side", ScanGeometry.n_pixels_per_side, 1)
+    extent: float = _positive("geometry.extent", ScanGeometry.extent)
     planes: tuple[float, ...] | None = _planes("geometry.planes", None)  # explicit list beats n_planes
     n_planes: int = _integer("geometry.n_planes", 2, 1)
     z_max: int = _integer("z_max", 10, 1)
@@ -172,19 +181,26 @@ class ExperimentSpec:
     )
     state_theta: float | None = _spec_field("state.theta", None, _real, "a finite number", float)
     state_path: str | None = _path("state.path")
-    noise_kind: str = _choice("noise.kind", "none", ("none", "poisson"))
+    noise_kind: str = _choice("noise.kind", NOISE_MODELS[0], NOISE_MODELS)
     photon_budget: float | None = _positive("noise.photon_budget", None)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    max_iterations: int = _integer("solver.max_iterations", SolverConfig.max_iterations, 1)
+    rel_tolerance: float = _positive("solver.rel_tolerance", SolverConfig.rel_tolerance)
+    multistart: int = _integer("solver.multistart", SolverConfig.multistart, 1)
     seed: int = _integer("seed", 0, 0)
     output: str | None = _path("output")
     scan_file: str | None = _path("scan_file")
     state_file: str | None = _path("state_file")
-    predict_planes: tuple[float, ...] = _planes("predict_planes", (0.0, 1 / 3, 1 / 2, 1.0))
+    predict_planes: tuple[float, ...] = _planes("predict_planes", default_planes(4))
     compute_entropy: bool = _spec_field(
         "compute_entropy", False, lambda v: isinstance(v, bool), "true or false"
     )
     threads: int = 1
     strict: bool = False
+
+    @property
+    def solver(self) -> SolverConfig:
+        """The SolverConfig of the solver block's fields."""
+        return SolverConfig(self.max_iterations, self.rel_tolerance, self.multistart)
 
     def basis(self) -> ModeBasis:
         if self.basis_kind == "symmetric":
@@ -198,15 +214,8 @@ class ExperimentSpec:
         return ScanGeometry(self.n_pixels_per_side, self.extent, planes[:n_planes])
 
 
-# the solver block sets these SolverConfig fields, which SolverConfig checks again for library callers
-_SOLVER_FIELDS = {
-    "max_iterations": _integer("solver.max_iterations", None, 1),
-    "rel_tolerance": _positive("solver.rel_tolerance", None),
-    "multistart": _integer("solver.multistart", None, 1),
-}
-# every accepted spec field by dotted path: the attribute it sets ("solver.x": SolverConfig.x), its check
+# every accepted spec field by dotted path: the attribute it sets, its check
 _PATHS = {f.metadata["path"]: (f.name, f.metadata) for f in fields(ExperimentSpec) if f.metadata}
-_PATHS |= {f.metadata["path"]: ("solver." + name, f.metadata) for name, f in _SOLVER_FIELDS.items()}
 _BLOCKS = {path.split(".")[0] for path in _PATHS if "." in path}
 
 
@@ -271,14 +280,13 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
         raise SpecValidationError(problems)
     if kind is not None and values["kind"] != kind:
         problems.append(f"kind {values['kind']!r} does not match the subcommand's kind {kind!r}")
-    solver = {a.removeprefix("solver."): values.pop(a) for a in list(values) if a.startswith("solver.")}
-    spec = ExperimentSpec(**values, solver=SolverConfig(**solver))
+    spec = ExperimentSpec(**values)
 
     symmetric = spec.basis_kind == "symmetric"
     d_max = 2 * spec.ell_max + 1 if symmetric else spec.d
     ell_top, top = (spec.ell_max, "basis.ell_max") if symmetric else (spec.d - 1, "basis.d - 1")
-    if ell_top > _MAX_ELL:
-        problems.append(f"{top}, the basis's largest |ell|, must be at most {_MAX_ELL}, got {reprlib.repr(ell_top)}")
+    if ell_top > MAX_ELL:
+        problems.append(f"{top}, the basis's largest |ell|, must be at most {MAX_ELL}, got {reprlib.repr(ell_top)}")
     # a rank above d is skipped, but a sweep with no rank in [1, d] has no cells
     if min(spec.ranks) > d_max:
         problems.append(f"ranks must include one at most d = {d_max}, got {reprlib.repr(list(spec.ranks))}")
@@ -299,12 +307,11 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
     z_top = spec.z_max if spec.kind == "rank_analysis" else max(spec.z_values)
     if sweep and spec.planes and z_top > len(spec.planes):
         problems.append(f"Z = {reprlib.repr(z_top)} needs more planes than the {len(spec.planes)} of geometry.planes")
-    if spec.noise_kind == "poisson" and spec.photon_budget is None:
-        problems.append("noise.photon_budget is required for poisson noise")
+    if spec.noise_kind != NOISE_MODELS[0] and spec.photon_budget is None:
+        problems.append(f"noise.photon_budget is required for {spec.noise_kind} noise")
     entropy = spec.kind == "entropy_sweep" or (spec.kind == "reconstruct" and spec.compute_entropy)
-    if entropy and spec.solver.multistart < 2:
-        n = spec.solver.multistart
-        problems.append(f"solver.multistart must be at least 2 for the uniqueness entropy, got {n}")
+    if entropy and spec.multistart < 2:
+        problems.append(f"solver.multistart must be at least 2 for the uniqueness entropy, got {spec.multistart}")
     if spec.kind == "reconstruct" and not spec.scan_file:
         problems.append("reconstruct requires scan_file")
     if spec.kind == "validate" and not (spec.scan_file or spec.state_file):
@@ -314,40 +321,38 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
     files = {"scan_file": spec.scan_file, "state_file": spec.state_file, "state.path": spec.state_path}
     for name, path in files.items():
         if path and not os.path.isfile(path):
-            problems.append(f"{name} does not exist as a regular file: {path}")
+            problems.append(f"{name} does not exist as a regular file: {reprlib.repr(path)}")
 
     if problems:
         raise SpecValidationError(problems)
     return spec
 
 
-def _make_state(spec: ExperimentSpec, basis: ModeBasis, rank: int, seed: int) -> DensityMatrix:
-    if spec.state_kind == "random":
-        return random_state(basis, rank, seed)
-    if spec.state_kind == "test":
-        if spec.state_p is not None:
-            return test_state(spec.state_p, spec.state_theta, basis)
-        rng = np.random.default_rng(seed)
-        return test_state(float(rng.uniform()), float(rng.uniform(0.0, math.pi / 2)), basis)
-    rho = read_state_json(spec.state_path)
-    if rho.basis != basis:
-        raise StateValidationError(f"state file is over modes {rho.basis.ells}, not {basis.ells}")
-    return rho
-
-
-def _in_spec(field: str, call: Callable, *args):
-    """call(*args), with its ValueError a spec error in ``field``: a valid spec reaches one in
-    a simulation or a solve only through a geometry that sees too little light."""
+def _in_spec(path: str, spec: ExperimentSpec, call: Callable, *args):
+    """call(*args), with its ValueError a spec error in the field at ``path``: a valid spec
+    reaches one in a simulation or a solve only through a geometry that sees too little light."""
     try:
         return call(*args)
     except ValueError as exc:
-        raise SpecValidationError([f"{field}: {exc}"]) from exc
+        raise SpecValidationError([f"{path} {getattr(spec, _PATHS[path][0])!r}: {exc}"]) from exc
 
 
-def _simulate(spec: ExperimentSpec, rho: DensityMatrix, mmap: MeasurementMap, seed: int) -> IntensityScan:
-    """The run's scan of rho; a geometry that Poisson noise cannot draw from is a spec error."""
-    noise = (spec.noise_kind, spec.photon_budget, seed)
-    return _in_spec(f"noise.kind {spec.noise_kind!r}", simulate_scan, rho, mmap, *noise)
+def _draw(spec: ExperimentSpec, mmap: MeasurementMap, rank: int, seed: int) -> tuple[DensityMatrix, IntensityScan]:
+    """A state of the run's kind over the map's modes and the run's scan of it, both from seed;
+    a geometry that Poisson noise cannot draw from is a spec error."""
+    basis = mmap.basis
+    if spec.state_kind == "random":
+        rho = random_state(basis, rank, seed)
+    elif spec.state_kind == "test" and spec.state_p is not None:
+        rho = test_state(spec.state_p, spec.state_theta, basis)
+    elif spec.state_kind == "test":
+        rng = np.random.default_rng(seed)
+        rho = test_state(float(rng.uniform()), float(rng.uniform(0.0, math.pi / 2)), basis)
+    else:
+        rho = read_state_json(spec.state_path)
+        if rho.basis != basis:
+            raise StateValidationError(f"state file is over modes {rho.basis.ells}, not {basis.ells}")
+    return rho, _in_spec("noise.kind", spec, simulate_scan, rho, mmap, spec.noise_kind, spec.photon_budget, seed)
 
 
 def _map_cells(spec: ExperimentSpec, cell_fn, cells: list) -> list:
@@ -386,10 +391,8 @@ def _error_cell(args) -> dict:
     mmap = build_measurement_map(basis, spec.geometry(n_planes=z))
     pos_errors, pinv_errors = [], []
     for trial in range(spec.trials):
-        seed = derive_seed(spec.seed, spec.ell_max, z, rank, trial)
-        rho = _make_state(spec, basis, rank, seed)
-        scan = _simulate(spec, rho, mmap, seed)
-        rep_pos = _in_spec(f"geometry.extent {spec.extent!r}", reconstruct_positive, mmap, scan, spec.solver)
+        rho, scan = _draw(spec, mmap, rank, derive_seed(spec.seed, spec.ell_max, z, rank, trial))
+        rep_pos = _in_spec("geometry.extent", spec, reconstruct_positive, mmap, scan, spec.solver)
         if spec.strict and not rep_pos.converged:
             raise NonConvergenceError(
                 f"positive-branch solver did not converge (ell_max={spec.ell_max}, Z={z}, "
@@ -415,13 +418,10 @@ def entropy_cell_inputs(
 ) -> tuple[MeasurementMap, list[tuple[IntensityScan, SolverConfig]]]:
     """The Z-plane map of an entropy-sweep cell, and the (scan, solver
     config) of each of its n_states probe states."""
-    basis = spec.basis()
-    mmap = build_measurement_map(basis, spec.geometry(n_planes=z))
+    mmap = build_measurement_map(spec.basis(), spec.geometry(n_planes=z))
     inputs = []
     for j in range(spec.n_states):
-        seed = derive_seed(spec.seed, z, j)
-        rho = _make_state(spec, basis, rank=2, seed=seed)
-        scan = _simulate(spec, rho, mmap, seed)
+        _, scan = _draw(spec, mmap, 2, derive_seed(spec.seed, z, j))
         inputs.append((scan, replace(spec.solver, seed=derive_seed(spec.seed, z, j, 1))))
     return mmap, inputs
 
@@ -430,8 +430,7 @@ def _entropy_cell(args) -> dict:
     """The CSV row of one (Z, branch) sweep cell: its states' entropy moments."""
     spec, z, branch = args
     mmap, inputs = entropy_cell_inputs(spec, z)
-    dark = f"geometry.extent {spec.extent!r}"  # the field at fault when the map sees no light
-    entropies = [_in_spec(dark, uniqueness_entropy, mmap, scan, cfg, branch) for scan, cfg in inputs]
+    entropies = [_in_spec("geometry.extent", spec, uniqueness_entropy, mmap, scan, cfg, branch) for scan, cfg in inputs]
     row = {"Z": z, "branch": branch, "n_states": spec.n_states}
     return row | _moments("entropy", f"Z={z}, branch={branch}", entropy=entropies)
 
@@ -478,11 +477,8 @@ def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
 
 def run_simulate(spec: ExperimentSpec, out_dir: str = ".") -> str:
     """Generate a scan CSV from the configured state."""
-    basis = spec.basis()
-    mmap = build_measurement_map(basis, spec.geometry())
-    seed = derive_seed(spec.seed, 0)
-    rho = _make_state(spec, basis, rank=spec.state_rank, seed=seed)
-    scan = _simulate(spec, rho, mmap, seed)
+    mmap = build_measurement_map(spec.basis(), spec.geometry())
+    _, scan = _draw(spec, mmap, spec.state_rank, derive_seed(spec.seed, 0))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, spec.output or "scan.csv")
     write_scan_csv(path, scan)
@@ -497,13 +493,13 @@ def run_validate(spec: ExperimentSpec) -> None:
         try:
             read_scan_csv(spec.scan_file, extent=spec.extent)
         except (ScanFormatError, OSError) as exc:
-            problems.append(f"scan_file: {exc}")
+            problems.append(f"scan_file: {_message(exc)}")
             error = ScanFormatError
     if spec.state_file:
         try:
             read_state_json(spec.state_file)
         except (StateValidationError, OSError) as exc:
-            problems.append(f"state_file: {exc}")
+            problems.append(f"state_file: {_message(exc)}")
     if problems:
         raise error("\n".join(problems))
 

@@ -54,6 +54,8 @@ DEFAULT_PLANE_POOL = (0.0, 1 / 3, 1 / 2, 1.0, 3 / 2, 2.0, 5 / 2, 3.0, 4.0, 5.0)
 
 SCAN_HEADER = "plane_index,zeta,px,py,value"
 SVD_RCOND = 1e-12  # singular values of A kept in its factors, relative to the largest: the map's one rank cut-off
+MAX_ELL = 170  # the largest |ell| of a mode: _norm divides by |ell|!, and 171! exceeds the largest double
+NOISE_MODELS = ("none", "poisson")  # the noise models simulate_scan draws, the noiseless one first
 
 
 class ScanFormatError(ValueError):
@@ -94,7 +96,7 @@ class ScanGeometry:
         object.__setattr__(self, "planes", planes)
 
     @classmethod
-    def default(cls, n_planes: int, n_pixels_per_side: int = 19, extent: float = 3.0):
+    def default(cls, n_planes: int, n_pixels_per_side: int = n_pixels_per_side, extent: float = extent):
         return cls(n_pixels_per_side, extent, default_planes(n_planes))
 
     @property
@@ -440,7 +442,7 @@ def _scan_rows(path) -> tuple[np.ndarray, np.ndarray]:
     return _parsed_rows(lines)
 
 
-def read_scan_csv(path, extent: float = 3.0) -> IntensityScan:
+def read_scan_csv(path, extent: float = ScanGeometry.extent) -> IntensityScan:
     """Parse the scan CSV format; raises :class:`ScanFormatError` on a file
     that is not UTF-8 text or whose grid gives ``extent`` no positive finite
     pixel area, and with the offending line number on a bad field, a

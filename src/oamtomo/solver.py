@@ -49,6 +49,7 @@ __all__ = [
     "report_to_json_dict",
 ]
 
+BRANCHES = ("positive", "pseudoinverse")  # the estimators multistart_estimates runs
 DEGENERATE_TRACE = 1e-14
 RANK_TOL = 0.05  # eigenvalues above this fraction of the largest set the initial factor width
 LM_DAMPING = 1e-10  # initial damping, relative to ||J||_F^2, the trace of the Gram matrix
@@ -356,7 +357,7 @@ def multistart_estimates(
     """
     if cfg.multistart < 2:
         raise ValueError("uniqueness diagnostic needs multistart >= 2")
-    if branch not in ("positive", "pseudoinverse"):
+    if branch not in BRANCHES:
         raise ValueError(f"unknown estimator branch {branch!r}")
     d = mmap.basis.dim
     rng = np.random.default_rng(cfg.seed)

@@ -36,6 +36,7 @@ from oamtomo.sensor import (
     ScanFormatError,
     ScanGeometry,
     build_measurement_map,
+    default_planes,
     independent_detections,
     read_scan_csv,
     simulate_scan,
@@ -46,6 +47,8 @@ from oamtomo.solver import SolverConfig, reconstruct_positive, reconstruct_pseud
 SMALL_GEOM = {"n_pixels_per_side": 9}
 DARK = ["geometry.n_pixels_per_side=2", "geometry.extent=100"]  # every pixel far outside the beams
 TINY = ["basis.ell_max=1", "geometry.n_pixels_per_side=3"]
+LONG_PATH = "x" * 5000 + "-end"  # past any file-name limit
+LONG_ECHO = "'" + "x" * 12 + "..." + "x" * 9 + "-end'"  # its echo, bounded as every echoed value is
 
 
 # -------------------------------------------------------------------- seeds
@@ -116,8 +119,6 @@ def test_parse_spec_bad_solver_field():
 def test_every_spec_default_passes_its_own_check(kind):
     """A spec that states every default explicitly parses as the bare kind does."""
     rows = [(f.metadata["path"], f.default) for f in fields(ExperimentSpec) if f.metadata]
-    solver = SolverConfig()
-    rows += [(f.metadata["path"], getattr(solver, name)) for name, f in experiments._SOLVER_FIELDS.items()]
     rows = [(path, default) for path, default in rows if default is not None and default is not MISSING]
     assert len(rows) > 20
     obj = {"kind": kind}
@@ -135,6 +136,17 @@ def test_every_spec_default_passes_its_own_check(kind):
             return exc.problems
 
     assert outcome(obj) == outcome({"kind": kind})
+
+
+def test_spec_defaults_are_the_librarys():
+    """A bare spec's grid, planes and solver settings are the library's defaults,
+    and the solver block's values reach the estimators' SolverConfig."""
+    spec = parse_spec({"kind": "simulate"})
+    assert spec.geometry() == ScanGeometry(planes=default_planes(spec.n_planes))
+    assert spec.predict_planes == default_planes(4)
+    assert spec.solver == SolverConfig()
+    block = {"max_iterations": 7, "rel_tolerance": 1e-9, "multistart": 3}
+    assert parse_spec({"kind": "simulate", "solver": block}).solver == SolverConfig(**block)
 
 
 def test_spec_error_pickles_whole():
@@ -540,6 +552,8 @@ def test_cli_bad_set_exits_2(capsys):
         ("simulate", ["solver.seed=1"], "unknown field 'solver.seed'"),
         ("simulate", ["seed=" + "[" * 900 + "]" * 900], "seed must be a nonnegative integer, got [[[[[[[...]]]]]]]"),
         ("simulate", ["seed=" + "x" * 5000], "seed must be a nonnegative integer, got '" + "x" * 12 + "..."),
+        ("validate", [f'scan_file="{LONG_PATH}"'], "scan_file does not exist as a regular file: " + LONG_ECHO),
+        ("simulate --spec " + LONG_PATH, [], "File name too long: " + LONG_ECHO),
     ],
     ids=[
         "basis not an object",
@@ -592,16 +606,18 @@ def test_cli_bad_set_exits_2(capsys):
         "a second seed in the solver block",
         "seed nested 900 deep",
         "seed a 5000-character string",
+        "scan_file a 5004-character path",
+        "--spec a 5004-character path",
     ],
 )
 def test_cli_malformed_spec_exits_2(tmp_path, capsys, command, overrides, message):
-    args = [command, "--out", str(tmp_path)]
+    args = [*command.split(), "--out", str(tmp_path)]
     for assignment in overrides:
         args += ["--set", assignment]
     assert main(args) == EXIT_SPEC
     err = capsys.readouterr().err
     assert message in err
-    assert max(map(len, err.splitlines())) < 200  # a rejected value is echoed in part
+    assert max(map(len, err.splitlines())) < 200 and len(err.encode()) < 400  # a rejected value is echoed in part
 
 
 def test_cli_validate_good_and_bad_scan(tmp_path, capsys):
@@ -791,6 +807,12 @@ MALFORMED_FILES = {
         "extent 100.0 on the file's 2x2 grid: measurement map is identically zero",
         EXIT_DATA,
     ),
+    "--out a 5004-character path": (
+        "simulate --out " + LONG_PATH,
+        state_record(),
+        "File name too long: " + LONG_ECHO,
+        EXIT_DATA,
+    ),
 }
 
 
@@ -799,7 +821,7 @@ def test_cli_malformed_data_file_exits_2_or_3(tmp_path, capsys, command, write, 
     path = tmp_path / "data"
     write(path)
     command, *options = command.split()
-    args = [command, *options, "--out", str(tmp_path / "out"), "--set", "basis.ell_max=1"]
+    args = [command, "--out", str(tmp_path / "out"), *options, "--set", "basis.ell_max=1"]  # an option's --out wins
     if command == "simulate":
         args += ["--set", "state.kind=file", "--set", f'state.path="{path}"']
     else:
@@ -807,7 +829,7 @@ def test_cli_malformed_data_file_exits_2_or_3(tmp_path, capsys, command, write, 
     assert main(args) == code
     err = capsys.readouterr().err
     assert message in err
-    assert max(map(len, err.splitlines())) < 200  # a rejected value is echoed in part
+    assert max(map(len, err.splitlines())) < 200 and len(err.encode()) < 400  # a rejected value is echoed in part
 
 
 @pytest.mark.parametrize("defect", ["repeats pixel", "non-finite value", "negative value"])
