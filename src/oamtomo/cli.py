@@ -16,7 +16,6 @@ hold), 3 data error (an unusable data file or --out), 4 non-convergence under --
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .experiments import (
@@ -27,7 +26,7 @@ from .experiments import (
     parse_spec,
     run_experiment,
 )
-from .qstate import StateValidationError
+from .qstate import StateValidationError, _load_json
 from .sensor import ScanFormatError
 
 EXIT_OK = 0
@@ -63,14 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        obj = {}
         if args.spec:
             try:
                 with open(args.spec, encoding="utf-8") as fh:
-                    obj = json.load(fh)
-            except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON, too deep
+                    obj = _load_json(fh.read())
+            except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON, too deep
                 raise SpecValidationError([f"spec file is not valid JSON: {_message(exc)}"]) from exc
-        else:
-            obj = {}
         seed = [] if args.seed is None else [f"seed={args.seed}"]
         spec = parse_spec(obj, kind=_SUBCOMMANDS[args.command], overrides=args.overrides + seed)
         spec.threads = max(1, args.threads)

@@ -22,6 +22,7 @@ from .qstate import (
     DensityMatrix,
     ModeBasis,
     StateValidationError,
+    _load_json,
     hs_error,
     random_state,
     read_state_json,
@@ -244,11 +245,11 @@ def _apply_override(obj: dict, assignment: str) -> None:
     if not equals:
         raise SpecValidationError([f"--set expects key=value, got {reprlib.repr(assignment)}"])
     try:
-        value = json.loads(raw)
+        value = _load_json(raw)
     except json.JSONDecodeError:
         value = raw
-    except RecursionError:
-        raise SpecValidationError([f"--set {key}: the value nests too deeply to parse"]) from None
+    except ValueError as exc:  # JSON nested too deeply
+        raise SpecValidationError([f"--set {key}: {exc}"]) from None
     *blocks, name = key.split(".")
     for block in blocks:
         inner = obj.get(block, {})
@@ -387,22 +388,19 @@ def run_rank_analysis(spec: ExperimentSpec) -> list[dict]:
 def _error_cell(args) -> dict:
     """The CSV row of one (Z, rank) sweep cell: its trials' error moments."""
     spec, z, rank = args
-    basis = spec.basis()
-    mmap = build_measurement_map(basis, spec.geometry(n_planes=z))
+    mmap = build_measurement_map(spec.basis(), spec.geometry(n_planes=z))
+    ell_max = max(map(abs, mmap.basis.ells))  # the basis's largest |ell|, of either span
+    cell = f"ell_max={ell_max}, Z={z}, rank={rank}"
     pos_errors, pinv_errors = [], []
     for trial in range(spec.trials):
-        rho, scan = _draw(spec, mmap, rank, derive_seed(spec.seed, spec.ell_max, z, rank, trial))
+        rho, scan = _draw(spec, mmap, rank, derive_seed(spec.seed, ell_max, z, rank, trial))
         rep_pos = _in_spec("geometry.extent", spec, reconstruct_positive, mmap, scan, spec.solver)
         if spec.strict and not rep_pos.converged:
-            raise NonConvergenceError(
-                f"positive-branch solver did not converge (ell_max={spec.ell_max}, Z={z}, "
-                f"rank={rank}, trial={trial})"
-            )
+            raise NonConvergenceError(f"positive-branch solver did not converge ({cell}, trial={trial})")
         rep_pinv = reconstruct_pseudoinverse(mmap, scan)
         pos_errors.append(hs_error(rep_pos.estimate, rho))
         pinv_errors.append(hs_error(rep_pinv.estimate, rho))
-    cell = f"ell_max={spec.ell_max}, Z={z}, rank={rank}"
-    row = {"ell_max": spec.ell_max, "d": basis.dim, "Z": z, "rank": rank, "trials": spec.trials}
+    row = {"ell_max": ell_max, "d": mmap.basis.dim, "Z": z, "rank": rank, "trials": spec.trials}
     return row | _moments("error", cell, err_positive=pos_errors, err_pseudoinverse=pinv_errors)
 
 

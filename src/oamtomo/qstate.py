@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import reprlib
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-8
 PSD_EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
+MAX_JSON_DEPTH = 500  # arrays and objects a JSON input may nest: half the default recursion limit json's parser uses
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -250,10 +252,20 @@ def write_state_json(path, rho: DensityMatrix) -> None:
         json.dump(state_to_json_dict(rho), fh)
 
 
+def _load_json(text: str):
+    """json.loads(text) for every JSON input; one nested deeper than MAX_JSON_DEPTH is refused before parsing."""
+    depth = 0
+    for token in re.findall(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]', text):  # a string literal's brackets are text
+        depth += 1 if token in "[{" else -1 if token in "]}" else 0
+        if depth > MAX_JSON_DEPTH:
+            raise ValueError(f"nested deeper than {MAX_JSON_DEPTH} levels")
+    return json.loads(text)
+
+
 def read_state_json(path) -> DensityMatrix:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 text, or nested too deeply
+            obj = _load_json(fh.read())
+        except ValueError as exc:  # not UTF-8 text, not JSON, or nested too deeply
             raise StateValidationError(f"state file is not valid JSON: {exc}") from exc
     return state_from_json_dict(obj)

@@ -22,6 +22,7 @@ from oamtomo.experiments import (
     write_sweep_csv,
 )
 from oamtomo.qstate import (
+    MAX_JSON_DEPTH,
     ModeBasis,
     StateValidationError,
     hs_error,
@@ -196,6 +197,21 @@ def test_error_sweep_on_explicit_planes():
         positive, pseudoinverse = reconstruct_positive(mmap, scan), reconstruct_pseudoinverse(mmap, scan)
         assert row["mean_err_positive"] == hs_error(positive.estimate, rho)
         assert row["mean_err_pseudoinverse"] == hs_error(pseudoinverse.estimate, rho)
+
+
+def test_nonnegative_error_sweep_ignores_basis_ell_max(tmp_path, capsys):
+    """A nonnegative span does not read basis.ell_max: its seeds and its CSV's ell_max
+    column take the basis's largest |ell|, d - 1."""
+    csvs = []
+    for ell_max in ("7", "3"):
+        args = ["--set", "basis.kind=nonnegative", "--set", "basis.d=3", "--set", f"basis.ell_max={ell_max}"]
+        args += ["--set", "geometry.n_pixels_per_side=9", "--set", "z_values=[1]", "--set", "ranks=[1,2]"]
+        args += ["--set", "trials=2", "--out", str(tmp_path / ell_max)]
+        assert main(["error-sweep", *args]) == EXIT_OK
+        csvs.append((tmp_path / ell_max / "error_sweep.csv").read_bytes())
+    capsys.readouterr()
+    assert csvs[0] == csvs[1]
+    assert [line.split(b",")[0] for line in csvs[0].splitlines()] == [b"ell_max", b"2", b"2"]
 
 
 def test_simulate_keeps_every_explicit_plane(tmp_path):
@@ -444,7 +460,7 @@ def test_cli_invalid_spec_exits_2(tmp_path, capsys):
         (lambda p: p.mkdir(), "Is a directory"),
         (lambda p: p.write_bytes(b'{"kind": "simulate", "output": "\xff"}'), "can't decode byte 0xff"),
         (lambda p: None, "No such file or directory"),
-        (lambda p: p.write_text("[" * 100000 + "]" * 100000), "maximum recursion depth exceeded"),
+        (lambda p: p.write_text("[" * 100000 + "]" * 100000), f"nested deeper than {MAX_JSON_DEPTH} levels"),
     ],
     ids=["not JSON", "a directory", "not UTF-8", "missing", "nested too deeply"],
 )
@@ -475,12 +491,77 @@ def test_cli_spec_not_an_object_exits_2(tmp_path, capsys, text, flags):
 
 def test_cli_spec_with_a_deep_value_exits_2(tmp_path, capsys):
     """An override copies only the blocks it writes into, so a spec value nested
-    deeper than a recursive copy can go is reported as any unknown field is."""
+    deeper than a recursive copy can go, here at the reader's bound, is reported
+    as any unknown field is."""
     path = tmp_path / "spec.json"
-    path.write_text('{"x": ' + "[" * 600 + "]" * 600 + "}")
+    path.write_text('{"x": ' + "[" * (MAX_JSON_DEPTH - 1) + "]" * (MAX_JSON_DEPTH - 1) + "}")
     args = ["simulate", "--spec", str(path), "--out", str(tmp_path), "--set", "basis.ell_max=1"]
     assert main(args) == EXIT_SPEC
     assert capsys.readouterr().err.splitlines() == ["invalid experiment spec:", "  unknown field 'x'"]
+
+
+def nested(depth: int) -> str:
+    """JSON text of ``depth`` empty lists, each inside the next."""
+    return "[" * depth + "]" * depth
+
+
+def deeper(frames: int, call):
+    """call() from ``frames`` more Python frames down the stack."""
+    return deeper(frames - 1, call) if frames else call()
+
+
+def json_file(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def deep_state(path, depth: int) -> str:
+    """A state file whose ells are ``depth`` - 1 nested lists, so the file nests ``depth`` levels."""
+    return json_file(path, '{"ells": ' + nested(depth - 1) + ', "re": [[1]], "im": [[0]]}')
+
+
+# each JSON input as (the CLI arguments that give it a value nested ``depth`` levels,
+# the judgement of that value at the bound, the exit code)
+JSON_INPUTS = {
+    "--spec file": (
+        lambda p, depth: ["simulate", "--spec", json_file(p, '{"seed": ' + nested(depth - 1) + "}")],
+        "seed must be a nonnegative integer, got [[[[[[[...]]]]]]]",
+        EXIT_SPEC,
+    ),
+    "--set value": (
+        lambda p, depth: ["simulate", "--set", "seed=" + nested(depth)],
+        "seed must be a nonnegative integer, got [[[[[[[...]]]]]]]",
+        EXIT_SPEC,
+    ),
+    "state.path in simulate": (
+        lambda p, depth: ["simulate", "--set", "state.kind=file", "--set", f'state.path="{deep_state(p, depth)}"'],
+        "mode indices must be integers, got [[[[[[[...]]]]]]]",
+        EXIT_DATA,
+    ),
+    "state_file in validate": (
+        lambda p, depth: ["validate", "--set", f'state_file="{deep_state(p, depth)}"'],
+        "state_file: malformed density-matrix record: mode indices must be integers, got [[[[[[[...]]]]]]]",
+        EXIT_DATA,
+    ),
+}
+
+
+@pytest.mark.parametrize("args, judged, code", JSON_INPUTS.values(), ids=JSON_INPUTS.keys())
+def test_json_nesting_bound_is_the_same_from_any_caller(tmp_path, capsys, args, judged, code):
+    """Every JSON input is read by one reader with one fixed bound: a value one level past it gets one
+    diagnostic, whatever the caller's stack depth, and a value at the bound is parsed and judged."""
+    too_deep = args(tmp_path / "input.json", MAX_JSON_DEPTH + 1) + ["--out", str(tmp_path)]
+    outcomes = []
+    for frames in (0, 200):
+        outcomes.append((deeper(frames, lambda: main(too_deep)), capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code and f"nested deeper than {MAX_JSON_DEPTH} levels" in outcomes[0][1]
+
+    at_bound = args(tmp_path / "input.json", MAX_JSON_DEPTH) + ["--out", str(tmp_path)]
+    for frames in (0, 200):
+        assert deeper(frames, lambda: main(at_bound)) == code
+        err = capsys.readouterr().err
+        assert judged in err and "nested deeper" not in err
 
 
 def test_parse_spec_leaves_the_callers_spec_as_it_was():
@@ -548,9 +629,9 @@ def test_cli_bad_set_exits_2(capsys):
         ("simulate", ["basis.kind=nonnegative", "basis.d=172"], "basis.d - 1, the basis's largest |ell|, must be"),
         ("simulate", ["state.kind=file"], "state.kind 'file' requires state.path"),
         ("simulate", ["basis=3", "basis.ell_max=2"], "--set path 'basis.ell_max' collides with a scalar field"),
-        ("simulate", ["x=" + "[" * 100000], "--set x: the value nests too deeply to parse"),
+        ("simulate", ["x=" + "[" * 100000], f"--set x: nested deeper than {MAX_JSON_DEPTH} levels"),
         ("simulate", ["solver.seed=1"], "unknown field 'solver.seed'"),
-        ("simulate", ["seed=" + "[" * 900 + "]" * 900], "seed must be a nonnegative integer, got [[[[[[[...]]]]]]]"),
+        ("simulate", ["seed=" + "[" * 400 + "]" * 400], "seed must be a nonnegative integer, got [[[[[[[...]]]]]]]"),
         ("simulate", ["seed=" + "x" * 5000], "seed must be a nonnegative integer, got '" + "x" * 12 + "..."),
         ("validate", [f'scan_file="{LONG_PATH}"'], "scan_file does not exist as a regular file: " + LONG_ECHO),
         ("simulate --spec " + LONG_PATH, [], "File name too long: " + LONG_ECHO),
@@ -604,7 +685,7 @@ def test_cli_bad_set_exits_2(capsys):
         "dotted path through a scalar",
         "--set value nested too deeply",
         "a second seed in the solver block",
-        "seed nested 900 deep",
+        "seed nested 400 deep",
         "seed a 5000-character string",
         "scan_file a 5004-character path",
         "--spec a 5004-character path",
@@ -714,7 +795,7 @@ MALFORMED_FILES = {
     "state file nested too deeply": (
         "simulate",
         lambda p: p.write_text('{"ells": ' + "[" * 100000 + "]" * 100000 + ', "re": [[1]], "im": [[0]]}'),
-        "state file is not valid JSON: maximum recursion depth exceeded",
+        f"state file is not valid JSON: nested deeper than {MAX_JSON_DEPTH} levels",
         EXIT_DATA,
     ),
     "state entries nested 33 deep": (
@@ -723,9 +804,9 @@ MALFORMED_FILES = {
         "entries shape (1, 1, 1,",
         EXIT_DATA,
     ),
-    "state mode indices nested 900 deep": (
+    "state mode indices nested 400 deep": (
         "simulate",
-        state_record(ells=json.loads("[" * 900 + "]" * 900)),
+        state_record(ells=json.loads("[" * 400 + "]" * 400)),
         "mode indices must be integers, got [[[[[[[...]]]]]]]",
         EXIT_DATA,
     ),
