@@ -30,7 +30,10 @@ from .qstate import (
 )
 from .sensor import (
     MAX_ELL,
+    MAX_PHOTON_BUDGET,
+    MAX_PIXELS_PER_SIDE,
     NOISE_MODELS,
+    DarkScanError,
     IntensityScan,
     MeasurementMap,
     ScanFormatError,
@@ -118,18 +121,23 @@ def _spec_field(path: str, default, ok: Callable[[Any], bool], must: str, conver
     return field(default=default, metadata={"path": path, "ok": ok, "must": must, "convert": convert})
 
 
-def _integer(path: str, default, low: int, many: bool = False):
-    """An integer of at least ``low`` (0 or 1), or with ``many`` a non-empty list of them."""
+def _at_most(high: float) -> str:  # a field's upper bound in its diagnostic
+    return f" of at most {high!r}" if high < math.inf else ""
+
+
+def _integer(path: str, default, low: int, high: float = math.inf, many: bool = False):
+    """An integer from ``low`` (0 or 1) to ``high``, or with ``many`` a non-empty list of them."""
     sign = ("nonnegative", "positive")[low]
-    ok = lambda v: _real(v) and v == int(v) and v >= low  # noqa: E731
+    ok = lambda v: _real(v) and v == int(v) and low <= v <= high  # noqa: E731
     if many:
         must = f"{sign} integers in a non-empty list"
         return _spec_field(path, default, lambda v: _listed(v, ok), must, lambda v: tuple(map(int, v)))
-    return _spec_field(path, default, ok, f"a {sign} integer", int)
+    return _spec_field(path, default, ok, f"a {sign} integer" + _at_most(high), int)
 
 
-def _positive(path: str, default):
-    return _spec_field(path, default, lambda v: _real(v) and v > 0, "a positive finite number", float)
+def _positive(path: str, default, high: float = math.inf):
+    ok = lambda v: _real(v) and 0 < v <= high  # noqa: E731
+    return _spec_field(path, default, ok, "a positive finite number" + _at_most(high), float)
 
 
 def _choice(path: str, default, options: tuple[str, ...]):
@@ -157,7 +165,9 @@ class ExperimentSpec:
     basis_kind: str = _choice("basis.kind", "symmetric", ("symmetric", "nonnegative"))  # ell_max or d
     ell_max: int = _integer("basis.ell_max", 7, 0)
     d: int = _integer("basis.d", 5, 1)
-    n_pixels_per_side: int = _integer("geometry.n_pixels_per_side", ScanGeometry.n_pixels_per_side, 1)
+    n_pixels_per_side: int = _integer(
+        "geometry.n_pixels_per_side", ScanGeometry.n_pixels_per_side, 1, MAX_PIXELS_PER_SIDE
+    )
     extent: float = _positive("geometry.extent", ScanGeometry.extent)
     planes: tuple[float, ...] | None = _planes("geometry.planes", None)  # explicit list beats n_planes
     n_planes: int = _integer("geometry.n_planes", 2, 1)
@@ -183,7 +193,7 @@ class ExperimentSpec:
     state_theta: float | None = _spec_field("state.theta", None, _real, "a finite number", float)
     state_path: str | None = _path("state.path")
     noise_kind: str = _choice("noise.kind", NOISE_MODELS[0], NOISE_MODELS)
-    photon_budget: float | None = _positive("noise.photon_budget", None)
+    photon_budget: float | None = _positive("noise.photon_budget", None, MAX_PHOTON_BUDGET)
     max_iterations: int = _integer("solver.max_iterations", SolverConfig.max_iterations, 1)
     rel_tolerance: float = _positive("solver.rel_tolerance", SolverConfig.rel_tolerance)
     multistart: int = _integer("solver.multistart", SolverConfig.multistart, 1)
@@ -329,18 +339,8 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
     return spec
 
 
-def _in_spec(path: str, spec: ExperimentSpec, call: Callable, *args):
-    """call(*args), with its ValueError a spec error in the field at ``path``: a valid spec
-    reaches one in a simulation or a solve only through a geometry that sees too little light."""
-    try:
-        return call(*args)
-    except ValueError as exc:
-        raise SpecValidationError([f"{path} {getattr(spec, _PATHS[path][0])!r}: {exc}"]) from exc
-
-
 def _draw(spec: ExperimentSpec, mmap: MeasurementMap, rank: int, seed: int) -> tuple[DensityMatrix, IntensityScan]:
-    """A state of the run's kind over the map's modes and the run's scan of it, both from seed;
-    a geometry that Poisson noise cannot draw from is a spec error."""
+    """A state of the run's kind over the map's modes and the run's scan of it, both from seed."""
     basis = mmap.basis
     if spec.state_kind == "random":
         rho = random_state(basis, rank, seed)
@@ -353,7 +353,7 @@ def _draw(spec: ExperimentSpec, mmap: MeasurementMap, rank: int, seed: int) -> t
         rho = read_state_json(spec.state_path)
         if rho.basis != basis:
             raise StateValidationError(f"state file is over modes {rho.basis.ells}, not {basis.ells}")
-    return rho, _in_spec("noise.kind", spec, simulate_scan, rho, mmap, spec.noise_kind, spec.photon_budget, seed)
+    return rho, simulate_scan(rho, mmap, spec.noise_kind, spec.photon_budget, seed)
 
 
 def _map_cells(spec: ExperimentSpec, cell_fn, cells: list) -> list:
@@ -394,7 +394,7 @@ def _error_cell(args) -> dict:
     pos_errors, pinv_errors = [], []
     for trial in range(spec.trials):
         rho, scan = _draw(spec, mmap, rank, derive_seed(spec.seed, ell_max, z, rank, trial))
-        rep_pos = _in_spec("geometry.extent", spec, reconstruct_positive, mmap, scan, spec.solver)
+        rep_pos = reconstruct_positive(mmap, scan, spec.solver)
         if spec.strict and not rep_pos.converged:
             raise NonConvergenceError(f"positive-branch solver did not converge ({cell}, trial={trial})")
         rep_pinv = reconstruct_pseudoinverse(mmap, scan)
@@ -428,7 +428,7 @@ def _entropy_cell(args) -> dict:
     """The CSV row of one (Z, branch) sweep cell: its states' entropy moments."""
     spec, z, branch = args
     mmap, inputs = entropy_cell_inputs(spec, z)
-    entropies = [_in_spec("geometry.extent", spec, uniqueness_entropy, mmap, scan, cfg, branch) for scan, cfg in inputs]
+    entropies = [uniqueness_entropy(mmap, scan, cfg, branch) for scan, cfg in inputs]
     row = {"Z": z, "branch": branch, "n_states": spec.n_states}
     return row | _moments("entropy", f"Z={z}, branch={branch}", entropy=entropies)
 
@@ -444,11 +444,7 @@ def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
     scan = read_scan_csv(spec.scan_file, extent=spec.extent)
     basis = spec.basis()
     mmap = build_measurement_map(basis, scan.geometry)
-    try:
-        rep = reconstruct_positive(mmap, scan, spec.solver)
-    except ValueError as exc:  # as with an extent that gives no pixel area, the extent does not fit the file
-        n = scan.geometry.n_pixels_per_side
-        raise ScanFormatError(f"extent {spec.extent!r} on the file's {n}x{n} grid: {exc}") from exc
+    rep = reconstruct_positive(mmap, scan, spec.solver)
     if spec.strict and not rep.converged:
         raise NonConvergenceError("reconstruction did not converge")
     n_det = independent_detections(mmap)
@@ -535,8 +531,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = ".") -> str:
         if spec.kind == "validate":
             run_validate(spec)
             return "all files valid"
-    except MemoryError:  # the spec check bounds |ell|, not d or the grid
+    except (DarkScanError, MemoryError) as exc:  # no light on the run's grid, or no room for its map
         n = spec.n_pixels_per_side
-        grid = f"the grid of {spec.scan_file}" if spec.scan_file else f"a {n}x{n} grid"
-        raise SpecValidationError([f"the run does not fit in memory: d = {spec.basis().dim} on {grid}"]) from None
+        grid = f"the grid of {reprlib.repr(spec.scan_file)}" if spec.scan_file else f"a {n}x{n} grid"
+        if isinstance(exc, MemoryError):  # the spec check bounds |ell| and the grid's side, not d with the grid
+            raise SpecValidationError([f"the run does not fit in memory: d = {spec.basis().dim} on {grid}"]) from None
+        if spec.kind == "reconstruct":  # its grid comes from the scan file
+            raise ScanFormatError(f"extent {spec.extent!r} on {grid}: {exc}") from exc
+        raise SpecValidationError([f"geometry.extent {spec.extent!r}: {exc}"]) from exc
     raise SpecValidationError([f"unknown kind {spec.kind!r}"])

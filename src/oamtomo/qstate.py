@@ -28,7 +28,6 @@ __all__ = [
     "test_state",
     "hs_error",
     "project_psd",
-    "write_state_json",
     "read_state_json",
 ]
 
@@ -245,11 +244,6 @@ def state_from_json_dict(obj: dict) -> DensityMatrix:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateValidationError(f"malformed density-matrix record: {exc}") from exc
     return DensityMatrix(basis, entries)
-
-
-def write_state_json(path, rho: DensityMatrix) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_json_dict(rho), fh)
 
 
 def _load_json(text: str):

@@ -41,6 +41,7 @@ __all__ = [
     "MeasurementMap",
     "IntensityScan",
     "ScanFormatError",
+    "DarkScanError",
     "build_measurement_map",
     "independent_detections",
     "simulate_scan",
@@ -55,11 +56,17 @@ DEFAULT_PLANE_POOL = (0.0, 1 / 3, 1 / 2, 1.0, 3 / 2, 2.0, 5 / 2, 3.0, 4.0, 5.0)
 SCAN_HEADER = "plane_index,zeta,px,py,value"
 SVD_RCOND = 1e-12  # singular values of A kept in its factors, relative to the largest: the map's one rank cut-off
 MAX_ELL = 170  # the largest |ell| of a mode: _norm divides by |ell|!, and 171! exceeds the largest double
+MAX_PIXELS_PER_SIDE = 2**30 - 1  # from 2**30, numpy cannot size the grid's n*n pixel indices at all
+MAX_PHOTON_BUDGET = 1e18  # below the largest mean numpy's Poisson sampler draws from, about 9.2e18
 NOISE_MODELS = ("none", "poisson")  # the noise models simulate_scan draws, the noiseless one first
 
 
 class ScanFormatError(ValueError):
     """Raised on malformed intensity-scan files."""
+
+
+class DarkScanError(ValueError):
+    """Raised where a scan receives no light: there is nothing to solve or to draw counts from."""
 
 
 def default_planes(n_planes: int) -> tuple[float, ...]:
@@ -94,10 +101,6 @@ class ScanGeometry:
         if len(set(planes)) != len(planes):
             raise ValueError(f"plane positions must be distinct, got {planes}")
         object.__setattr__(self, "planes", planes)
-
-    @classmethod
-    def default(cls, n_planes: int, n_pixels_per_side: int = n_pixels_per_side, extent: float = extent):
-        return cls(n_pixels_per_side, extent, default_planes(n_planes))
 
     @property
     def n_planes(self) -> int:
@@ -233,7 +236,7 @@ class MeasurementMap:
         is never formed: with c_j = q^T p_j, 2 f_res is the sum over the planes
         of ||p_j - q c_j||^2 plus ||c - u_k b||^2. These residuals are taken
         directly, so f_res, the objective and its gradient W^T (W x - b) have no
-        cancellation, however small the residual is. Raises ValueError when the
+        cancellation, however small the residual is. Raises DarkScanError when the
         map keeps no singular value (s is empty): no pixel sees light, and
         every estimator reads the map through this model.
         """
@@ -241,7 +244,7 @@ class MeasurementMap:
             raise ValueError(f"scan geometry {scan.geometry} does not match the map's {self.geometry}")
         q, u, s, vt = self.svd
         if not len(s):
-            raise ValueError("measurement map is identically zero: no pixel sees light")
+            raise DarkScanError("measurement map is identically zero: no pixel sees light")
         planes = scan.values.reshape(self.geometry.n_planes, -1)
         c = planes @ q
         b = u.T @ c.ravel()
@@ -352,20 +355,20 @@ def simulate_scan(
     """Forward-simulate a scan; optional Poisson shot noise.
 
     Poisson mode scales the noiseless pattern so its total equals
-    ``photon_budget`` expected counts, draws, and scales back; a scan that
-    receives no light has no such scale and raises ValueError.
+    ``photon_budget`` (at most MAX_PHOTON_BUDGET) expected counts, draws, and
+    scales back; a scan that receives no light has no such scale and raises DarkScanError.
     """
     p = mmap.apply(rho)
     p = np.clip(p, 0.0, None)
     if noise == "none":
         return IntensityScan(mmap.geometry, p)
     if noise == "poisson":
-        if photon_budget is None or not 0 < photon_budget < math.inf:
-            raise ValueError("poisson noise requires a positive finite photon budget")
+        if photon_budget is None or not 0 < photon_budget <= MAX_PHOTON_BUDGET:
+            raise ValueError(f"poisson noise requires a positive finite photon budget of at most {MAX_PHOTON_BUDGET:g}")
         total = float(p.sum())
         scale = photon_budget / total if total > 0 else math.inf
         if math.isinf(scale):
-            raise ValueError(f"the scan receives no light: its intensities sum to {total:g}")
+            raise DarkScanError(f"the scan receives no light: its intensities sum to {total:g}")
         counts = np.random.default_rng(seed).poisson(p * scale)
         return IntensityScan(mmap.geometry, counts / scale)
     raise ValueError(f"unknown noise model {noise!r}")

@@ -4,17 +4,19 @@ Laguerre-Gauss mode amplitudes and paraxial beam parameters, in cylindrical
 coordinates (r, phi, z) with the beam waist at z = 0, and the pixel
 probability of a state summed mode pair by mode pair. The library's
 vectorized measurement map is compared against these point by point; no
-library code calls them.
+library code calls them. The state-file writer lives here too: the library
+reads state files but never writes one.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from oamtomo.qstate import DensityMatrix
+from oamtomo.qstate import DensityMatrix, state_to_json_dict
 from oamtomo.sensor import _norm
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "lg_amplitude",
     "mode_normalization",
     "pixel_probability",
+    "write_state_json",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -164,3 +167,8 @@ def pixel_probability(rho: DensityMatrix, rr: float, phi: float, zeta: float) ->
         for b, lb in enumerate(ells):
             total += rho.entries[a, b] * _norm(la) * _norm(lb) * coefficient(lb, la, rr, phi, zeta)
     return math.exp(-2.0 * rr * rr) * total.real
+
+
+def write_state_json(path, rho: DensityMatrix) -> None:
+    with open(path, "w") as fh:
+        json.dump(state_to_json_dict(rho), fh)

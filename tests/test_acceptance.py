@@ -27,6 +27,7 @@ from oamtomo.sensor import (
     MeasurementMap,
     ScanGeometry,
     build_measurement_map,
+    default_planes,
     independent_detections,
     simulate_scan,
 )
@@ -52,7 +53,7 @@ RECOVERY_TOL = 1e-6  # criterion 4's exact-recovery tolerance
 
 def rank_counts(ell_max, z_list):
     basis = ModeBasis.symmetric_span(ell_max)
-    planes = ScanGeometry.default(max(z_list)).planes
+    planes = ScanGeometry(19, 3.0, default_planes(max(z_list))).planes
     out = {}
     for z in z_list:
         out[z] = independent_detections(MeasurementMap(basis, ScanGeometry(19, 3.0, planes[:z])))
@@ -81,7 +82,7 @@ def test_criterion_2_rank_count_formulas():
 def test_criterion_3_nonnegative_span_completeness():
     for d in range(2, 9):
         basis = ModeBasis.nonnegative_span(d)
-        mmap = build_measurement_map(basis, ScanGeometry.default(1))
+        mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
         assert independent_detections(mmap) == d * d, f"d={d} not complete"
         for trial in range(20):
             rho = random_state(basis, d, seed=1000 * d + trial)
@@ -92,7 +93,7 @@ def test_criterion_3_nonnegative_span_completeness():
 
 def test_criterion_4_compressive_recovery():
     basis = ModeBasis.symmetric_span(7)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     successes = 0
     for trial in range(100):
         rho = random_state(basis, 1, seed=trial)

@@ -1,5 +1,6 @@
 import json
 import pickle
+import reprlib
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -30,7 +31,6 @@ from oamtomo.qstate import (
     read_state_json,
     state_from_json_dict,
     test_state as probe_state,
-    write_state_json,
 )
 from oamtomo.sensor import (
     MeasurementMap,
@@ -44,12 +44,14 @@ from oamtomo.sensor import (
     write_scan_csv,
 )
 from oamtomo.solver import SolverConfig, reconstruct_positive, reconstruct_pseudoinverse
+from oracles import write_state_json
 
 SMALL_GEOM = {"n_pixels_per_side": 9}
 DARK = ["geometry.n_pixels_per_side=2", "geometry.extent=100"]  # every pixel far outside the beams
 TINY = ["basis.ell_max=1", "geometry.n_pixels_per_side=3"]
 LONG_PATH = "x" * 5000 + "-end"  # past any file-name limit
 LONG_ECHO = "'" + "x" * 12 + "..." + "x" * 9 + "-end'"  # its echo, bounded as every echoed value is
+SIDE_BOUND = "geometry.n_pixels_per_side must be a positive integer of at most 1073741823, got 1"  # 2^30 - 1
 
 
 # -------------------------------------------------------------------- seeds
@@ -625,6 +627,16 @@ def test_cli_bad_set_exits_2(capsys):
         ("rank-analysis", ["geometry.planes=[0,1]", "z_max=3"], "Z = 3 needs more planes than"),
         ("error-sweep", ["basis.ell_max=3", "state.kind=test", "state.p=0.5", "state.theta=0.3"], "random states"),
         ("simulate", ["basis.ell_max=171", "geometry.n_pixels_per_side=1"], "basis.ell_max, the basis's largest |ell|"),
+        *(
+            (c, [f"geometry.n_pixels_per_side={2**30}"], SIDE_BOUND)
+            for c in ("rank-analysis", "simulate", "error-sweep")
+        ),
+        ("rank-analysis", ["geometry.n_pixels_per_side=10000000000000000000"], SIDE_BOUND),
+        (
+            "simulate",
+            ["noise.kind=poisson", "noise.photon_budget=1e300"],
+            "noise.photon_budget must be a positive finite number of at most 1e+18, got 1e+300",
+        ),
         ("simulate", ["basis.ell_max=1e30"], "must be at most 170, got 1000000000000000019884624838656"),
         ("simulate", ["basis.kind=nonnegative", "basis.d=172"], "basis.d - 1, the basis's largest |ell|, must be"),
         ("simulate", ["state.kind=file"], "state.kind 'file' requires state.path"),
@@ -679,6 +691,11 @@ def test_cli_bad_set_exits_2(capsys):
         "rank-analysis Z beyond the explicit planes",
         "error sweep over a test state",
         "ell_max beyond 170",
+        "rank-analysis grid side of 2^30",
+        "simulate grid side of 2^30",
+        "error-sweep grid side of 2^30",
+        "rank-analysis grid side of 10^19",
+        "photon budget beyond the Poisson sampler",
         "ell_max beyond a double's integers",
         "nonnegative basis beyond 170",
         "file state without a path",
@@ -885,7 +902,7 @@ MALFORMED_FILES = {
         lambda p: p.write_text(
             "plane_index,zeta,px,py,value\n" + "".join(f"0,0.0,{i % 2},{i // 2},0.0\n" for i in range(4))
         ),
-        "extent 100.0 on the file's 2x2 grid: measurement map is identically zero",
+        "data': measurement map is identically zero",  # after the file's path, bounded as every echoed value is
         EXIT_DATA,
     ),
     "--out a 5004-character path": (
@@ -1028,7 +1045,7 @@ def test_cli_simulate_writes_the_scan_of_its_state(tmp_path, capsys, kind):
     args = ["simulate", "--out", str(tmp_path), "--set=basis.ell_max=3", "--set=geometry.n_pixels_per_side=9"]
     assert main([*args, *(f"--set={a}" for a in state)]) == EXIT_OK
     capsys.readouterr()
-    mmap = build_measurement_map(basis, ScanGeometry.default(2, 9))
+    mmap = build_measurement_map(basis, ScanGeometry(9, 3.0, default_planes(2)))
     write_scan_csv(tmp_path / "fresh.csv", simulate_scan(rho, mmap))
     assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
@@ -1065,7 +1082,73 @@ def test_cli_reconstruct_memory_cannot_hold_names_the_scan_file(tmp_path, capsys
     scan = tmp_path / "scan.csv"
     args = ["reconstruct", "--out", str(tmp_path), *(f"--set={a}" for a in TINY), "--set", f'scan_file="{scan}"']
     assert main(args) == EXIT_SPEC
-    assert f"the run does not fit in memory: d = 3 on the grid of {scan}" in capsys.readouterr().err
+    assert f"the run does not fit in memory: d = 3 on the grid of {reprlib.repr(str(scan))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank-analysis", "simulate", "error-sweep"])
+def test_cli_largest_grid_side_does_not_fit_in_memory(tmp_path, capsys, command):
+    """The largest side the spec accepts, 2^30 - 1, is sized by numpy and refused
+    by the allocator: no array of its n^2 pixel indices is ever filled."""
+    args = [command, "--out", str(tmp_path), "--set", "basis.ell_max=1"]
+    assert main([*args, "--set", f"geometry.n_pixels_per_side={2**30 - 1}"]) == EXIT_SPEC
+    assert f"the run does not fit in memory: d = 3 on a {2**30 - 1}x{2**30 - 1} grid" in capsys.readouterr().err
+
+
+def test_cli_largest_photon_budget_draws(tmp_path, capsys):
+    """At the largest budget the spec accepts, the shot noise is far below the signal."""
+    args = ["simulate", *(f"--set={a}" for a in TINY)]
+    assert main([*args, "--out", str(tmp_path / "clean")]) == EXIT_OK
+    noisy = ["--set", "noise.kind=poisson", "--set", "noise.photon_budget=1e18"]
+    assert main([*args, "--out", str(tmp_path / "noisy"), *noisy]) == EXIT_OK
+    capsys.readouterr()
+    clean, drawn = (read_scan_csv(tmp_path / out / "scan.csv").values for out in ("clean", "noisy"))
+    assert not np.array_equal(drawn, clean)
+    np.testing.assert_allclose(drawn, clean, rtol=1e-4)
+
+
+FAULTS = {  # a fault inside the numeric core, injected where experiments calls it
+    "error sweep solve": ("error-sweep", "reconstruct_positive", ["trials=1", "z_values=[1]", "ranks=[1]"]),
+    "entropy sweep solve": ("entropy-sweep", "uniqueness_entropy", ["z_values=[1]", "n_states=1"]),
+    "poisson simulate": ("simulate", "simulate_scan", ["noise.kind=poisson", "noise.photon_budget=1e6"]),
+    "reconstruct solve": ("reconstruct", "reconstruct_positive", ["scan_file=SCAN"]),
+}
+
+
+@pytest.mark.parametrize("command, name, overrides", FAULTS.values(), ids=FAULTS.keys())
+def test_cli_numeric_fault_is_not_blamed_on_the_spec(tmp_path, capsys, monkeypatch, command, name, overrides):
+    """Only a scan that receives no light is the input's fault; any other
+    ValueError from the solver or the simulator propagates as itself."""
+    assert main(["simulate", "--out", str(tmp_path), *(f"--set={a}" for a in TINY)]) == EXIT_OK
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(experiments, name, broken)
+    overrides = [o.replace("SCAN", f'"{tmp_path / "scan.csv"}"') for o in overrides]
+    args = [command, "--out", str(tmp_path), *(f"--set={a}" for a in [*TINY, *overrides])]
+    with pytest.raises(ValueError, match="operands could not be broadcast together"):
+        main(args)
+
+
+def test_cli_dark_reconstruct_names_the_extent_and_the_file(tmp_path, capsys, monkeypatch):
+    """A reconstruct's grid comes from its scan file, so a dark one is a data error naming both."""
+    monkeypatch.chdir(tmp_path)
+    rows = "".join(f"0,0.0,{i % 2},{i // 2},0.0\n" for i in range(4))  # a 2x2 grid, every pixel 0
+    (tmp_path / "scan.csv").write_text("plane_index,zeta,px,py,value\n" + rows)
+    args = ["reconstruct", "--set", "basis.ell_max=1", "--set", "geometry.extent=100", "--set", 'scan_file="scan.csv"']
+    assert main(args) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "extent 100.0 on the grid of 'scan.csv': measurement map is identically zero: no pixel sees light\n"
+    )
+
+
+def test_cli_dark_scan_in_a_worker_is_a_spec_error(tmp_path, capsys):
+    """A dark scan raised in a sweep's worker process reaches run_experiment whole."""
+    args = ["error-sweep", "--out", str(tmp_path), "--threads", "2", "--set", "basis.ell_max=1"]
+    args += [a for f in [*DARK, "trials=1", "z_values=[1,2]", "ranks=[1]"] for a in ("--set", f)]
+    assert main(args) == EXIT_SPEC
+    assert "geometry.extent 100.0: measurement map is identically zero" in capsys.readouterr().err
 
 
 def test_cli_validate_lets_a_reader_bug_propagate(tmp_path, monkeypatch):

@@ -19,8 +19,8 @@ from oamtomo.qstate import (
     read_state_json,
     state_from_json_dict,
     state_to_json_dict,
-    write_state_json,
 )
+from oracles import write_state_json
 
 
 def nested(value, depth: int):

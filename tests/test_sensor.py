@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from oamtomo.qstate import DensityMatrix, ModeBasis, hermitian_to_coords, random_state
 from oamtomo.sensor import (
     DEFAULT_PLANE_POOL,
+    MAX_PHOTON_BUDGET,
+    DarkScanError,
     IntensityScan,
     MeasurementMap,
     SCAN_HEADER,
@@ -211,7 +213,7 @@ def test_map_consistent_with_pixel_probability():
 
 def test_map_nonnegative_on_states():
     basis = ModeBasis.symmetric_span(3)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     for seed in range(10):
         rho = random_state(basis, 2, seed=seed)
         assert mmap.apply(rho).min() >= -1e-10
@@ -219,16 +221,16 @@ def test_map_nonnegative_on_states():
 
 def test_independent_detections_d15():
     basis = ModeBasis.symmetric_span(7)
-    m1 = build_measurement_map(basis, ScanGeometry.default(1))
+    m1 = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
     assert m1.matrix.shape == (361, 225)
     assert independent_detections(m1) == 78
-    m2 = build_measurement_map(basis, ScanGeometry.default(2))
+    m2 = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     assert independent_detections(m2) == 146
 
 
 def test_independent_detections_nonnegative_span():
     basis = ModeBasis.nonnegative_span(5)
-    mmap = build_measurement_map(basis, ScanGeometry.default(1))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
     assert independent_detections(mmap) == 25
 
 
@@ -236,7 +238,7 @@ def test_rank_monotone_in_planes():
     basis = ModeBasis.symmetric_span(2)
     prev = 0
     for z in range(1, 5):
-        n = independent_detections(build_measurement_map(basis, ScanGeometry.default(z)))
+        n = independent_detections(build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(z))))
         assert n >= prev
         prev = n
 
@@ -253,7 +255,7 @@ def test_detections_match_the_closed_form(ell_max):
         for lb in ells[a + 1 :]:
             groups.setdefault((la - lb, abs(la) + abs(lb)), []).append(abs(la) - abs(lb))
     for z in range(1, 11):
-        geom = ScanGeometry.default(z)
+        geom = ScanGeometry(19, 3.0, default_planes(z))
         angles = np.arctan(geom.planes)
         turns = [np.exp(1j * np.outer(angles, g)) for g in groups.values()]
         closed = ell_max + 1 + sum(2 * np.linalg.matrix_rank(m) for m in turns)
@@ -304,17 +306,17 @@ def _per_pair_block(basis, geometry, zeta):
 
 S = ModeBasis.symmetric_span
 FACTOR_CASES = {
-    "41x41 four planes l_max 4": (S(4), ScanGeometry.default(4, n_pixels_per_side=41)),
-    "d=15 Z=1": (S(7), ScanGeometry.default(1)),
-    "d=15 Z=2": (S(7), ScanGeometry.default(2)),
-    "d=15 Z=3": (S(7), ScanGeometry.default(3)),
+    "41x41 four planes l_max 4": (S(4), ScanGeometry(41, 3.0, default_planes(4))),
+    "d=15 Z=1": (S(7), ScanGeometry(19, 3.0, default_planes(1))),
+    "d=15 Z=2": (S(7), ScanGeometry(19, 3.0, default_planes(2))),
+    "d=15 Z=3": (S(7), ScanGeometry(19, 3.0, default_planes(3))),
     "fewer pixels than d^2": (S(2), ScanGeometry(3, 3.0, (0.0, 1 / 3))),
     "first plane off the waist": (S(4), ScanGeometry(19, 3.0, (1 / 3, 2.0))),
     "even grid, no centre pixel": (S(3), ScanGeometry(20, 3.0, (0.0, 1 / 3, 1 / 2))),
     "one pixel": (S(2), ScanGeometry(1, 3.0, (0.0, 1 / 3))),
     "2x2 grid": (S(2), ScanGeometry(2, 3.0, (0.0, 1 / 3))),
-    "nonnegative basis": (ModeBasis.nonnegative_span(6), ScanGeometry.default(2)),
-    "irregular basis": (ModeBasis((-5, -1, 2, 6)), ScanGeometry.default(3)),
+    "nonnegative basis": (ModeBasis.nonnegative_span(6), ScanGeometry(19, 3.0, default_planes(2))),
+    "irregular basis": (ModeBasis((-5, -1, 2, 6)), ScanGeometry(19, 3.0, default_planes(3))),
 }
 
 
@@ -358,11 +360,11 @@ def test_factorization_matches_dense_svd(basis, geom):
 
 
 ONE_RANK_CASES = {
-    **{f"l_max 7, 19x19, Z={z}": (S(7), ScanGeometry.default(z)) for z in (1, 2, 3)},
-    **{f"l_max 7, 9x9, Z={z}": (S(7), ScanGeometry.default(z, 9)) for z in (1, 2)},
-    "l_max 7, 7x7, Z=4": (S(7), ScanGeometry.default(4, 7)),
-    "l_max 6, 7x7, Z=3": (S(6), ScanGeometry.default(3, 7)),
-    "l_max 5, 5x5, Z=3": (S(5), ScanGeometry.default(3, 5)),
+    **{f"l_max 7, 19x19, Z={z}": (S(7), ScanGeometry(19, 3.0, default_planes(z))) for z in (1, 2, 3)},
+    **{f"l_max 7, 9x9, Z={z}": (S(7), ScanGeometry(9, 3.0, default_planes(z))) for z in (1, 2)},
+    "l_max 7, 7x7, Z=4": (S(7), ScanGeometry(7, 3.0, default_planes(4))),
+    "l_max 6, 7x7, Z=3": (S(6), ScanGeometry(7, 3.0, default_planes(3))),
+    "l_max 5, 5x5, Z=3": (S(5), ScanGeometry(5, 3.0, default_planes(3))),
 }
 
 
@@ -383,8 +385,14 @@ def test_every_reader_of_the_rank_agrees(basis, geom):
 
 
 Q_WIDTH_CASES = {
-    **{f"l_max {l}": (S(l), ScanGeometry.default(1), ((2 * l + 1) ** 2 + 6 * (2 * l + 1) - 3) // 4) for l in range(8)},
-    **{f"nonnegative d={d}": (ModeBasis.nonnegative_span(d), ScanGeometry.default(1), d * d) for d in (1, 2, 4, 6)},
+    **{
+        f"l_max {l}": (S(l), ScanGeometry(19, 3.0, default_planes(1)), ((2 * l + 1) ** 2 + 6 * (2 * l + 1) - 3) // 4)
+        for l in range(8)
+    },
+    **{
+        f"nonnegative d={d}": (ModeBasis.nonnegative_span(d), ScanGeometry(19, 3.0, default_planes(1)), d * d)
+        for d in (1, 2, 4, 6)
+    },
     "fewer pixels than d^2": (S(2), ScanGeometry(3, 3.0, (0.0, 1 / 3)), 9),
     "one pixel": (S(2), ScanGeometry(1, 3.0, (0.0, 1 / 3)), 1),
     "2x2 grid": (S(2), ScanGeometry(2, 3.0, (0.0, 1 / 3)), 4),
@@ -446,7 +454,7 @@ def test_camera_map_simulation_and_solve_never_form_a():
     """Building a camera map, simulating a scan and solving on it allocate well
     under one m x d^2 array: neither A nor its m-row left singular factor is formed."""
     basis = ModeBasis.symmetric_span(4)
-    geom = ScanGeometry.default(4, n_pixels_per_side=101)
+    geom = ScanGeometry(101, 3.0, default_planes(4))
     rho = random_state(basis, 2, seed=3)
     tracemalloc.start()
     try:
@@ -498,7 +506,7 @@ def test_bad_input_raises(call, message):
 
 def test_simulate_noiseless_matches_map():
     basis = ModeBasis.symmetric_span(1)
-    mmap = build_measurement_map(basis, ScanGeometry.default(1))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
     rho = np.zeros((3, 3), dtype=complex)
     rho[1, 1] = 1.0
     state = DensityMatrix(basis, rho)
@@ -508,7 +516,7 @@ def test_simulate_noiseless_matches_map():
 
 def test_simulate_poisson_large_budget_close_to_noiseless():
     basis = ModeBasis.symmetric_span(2)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     rho = random_state(basis, 1, seed=2)
     clean = simulate_scan(rho, mmap)
     noisy = simulate_scan(rho, mmap, "poisson", photon_budget=1e12, seed=0)
@@ -519,7 +527,7 @@ def test_simulate_poisson_large_budget_close_to_noiseless():
 
 def test_simulate_poisson_deterministic():
     basis = ModeBasis.symmetric_span(2)
-    mmap = build_measurement_map(basis, ScanGeometry.default(1))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
     rho = random_state(basis, 2, seed=5)
     a = simulate_scan(rho, mmap, "poisson", photon_budget=1e5, seed=42)
     b = simulate_scan(rho, mmap, "poisson", photon_budget=1e5, seed=42)
@@ -528,17 +536,36 @@ def test_simulate_poisson_deterministic():
 
 def test_simulate_rejects_bad_budget():
     basis = ModeBasis.symmetric_span(1)
-    mmap = build_measurement_map(basis, ScanGeometry.default(1))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
     rho = random_state(basis, 1, seed=0)
-    for budget in (None, 0.0, -1.0, math.inf, math.nan):
+    for budget in (None, 0.0, -1.0, math.inf, math.nan, 1e19):  # 1e19: past MAX_PHOTON_BUDGET
         with pytest.raises(ValueError, match="poisson noise requires a positive finite photon budget"):
             simulate_scan(rho, mmap, "poisson", photon_budget=budget)
+
+
+def test_simulate_draws_at_the_largest_budget():
+    """No pixel's mean exceeds the budget, so numpy's Poisson sampler takes every mean at the bound."""
+    basis = ModeBasis.symmetric_span(1)
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
+    rho = random_state(basis, 1, seed=0)
+    assert simulate_scan(rho, mmap, "poisson", photon_budget=MAX_PHOTON_BUDGET).values.any()
+
+
+def test_dark_scan_error_names_both_dark_cases():
+    """A map that sees no light has no least-squares model and no Poisson scale: one typed error."""
+    basis = ModeBasis.symmetric_span(1)
+    mmap = build_measurement_map(basis, ScanGeometry(2, 100.0, (0.0,)))
+    rho = random_state(basis, 1, seed=0)
+    with pytest.raises(DarkScanError, match="measurement map is identically zero"):
+        mmap.least_squares(simulate_scan(rho, mmap))
+    with pytest.raises(DarkScanError, match="receives no light"):
+        simulate_scan(rho, mmap, "poisson", photon_budget=1e6)
 
 
 def test_noiseless_scan_total_is_stable():
     """Sum over pixels approximates the continuum normalization per plane."""
     basis = ModeBasis.symmetric_span(2)
-    mmap = build_measurement_map(basis, ScanGeometry.default(1))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
     rho = random_state(basis, 3, seed=8)
     scan = simulate_scan(rho, mmap)
     assert scan.values.sum() == pytest.approx(1.0, abs=1e-3)
@@ -549,7 +576,7 @@ def test_noiseless_scan_total_is_stable():
 
 def test_scan_csv_roundtrip(tmp_path):
     basis = ModeBasis.symmetric_span(2)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     rho = random_state(basis, 2, seed=13)
     scan = simulate_scan(rho, mmap)
     path = tmp_path / "scan.csv"

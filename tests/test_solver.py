@@ -20,6 +20,7 @@ from oamtomo.sensor import (
     IntensityScan,
     ScanGeometry,
     build_measurement_map,
+    default_planes,
     independent_detections,
     simulate_scan,
 )
@@ -107,7 +108,7 @@ def test_positive_certified_at_minimizer_when_recovery_is_slow():
     has stopped moving can still sit at HS error ~7e-4. Convergence must
     mean the minimizer was reached."""
     basis = ModeBasis.symmetric_span(7)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     rho = random_state(basis, 4, seed=derive_seed(0, 7, 2, 4, 0))
     rep = reconstruct_positive(mmap, simulate_scan(rho, mmap))
     assert rep.converged
@@ -121,7 +122,7 @@ def test_positive_not_certified_off_the_minimizer():
     """A budget too small to reach the minimizer leaves the certificate
     failing, whatever the objective did."""
     basis = ModeBasis.symmetric_span(7)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     rho = random_state(basis, 4, seed=derive_seed(0, 7, 2, 4, 0))
     rep = reconstruct_positive(mmap, simulate_scan(rho, mmap), SolverConfig(max_iterations=10))
     assert not rep.converged
@@ -133,7 +134,7 @@ def test_positive_stalls_when_every_damped_solve_fails(monkeypatch):
     """A damped system that no damping makes solvable rejects every trial, so
     the solve stops, uncertified, at the last accepted iterate: a valid state."""
     basis = ModeBasis.symmetric_span(2)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2, n_pixels_per_side=15))
+    mmap = build_measurement_map(basis, ScanGeometry(15, 3.0, default_planes(2)))
     scan = simulate_scan(random_state(basis, 2, seed=0), mmap, noise="poisson", photon_budget=1e5, seed=0)
     start = random_state(basis, 5, seed=100)
 
@@ -155,7 +156,7 @@ def test_positive_drops_halving_columns():
     reaches the certificate in a few steps, and the drop's guard keeps the
     objective from rising."""
     basis = ModeBasis.symmetric_span(7)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     rho = random_state(basis, 1, seed=derive_seed(0, 7, 2, 1, 0))
     rep = reconstruct_positive(mmap, simulate_scan(rho, mmap))
     assert rep.metadata["stop_reason"] == "certified"
@@ -171,7 +172,7 @@ def test_positive_certified_on_poisson_data():
     on that decrease itself, not on a difference of two objective values,
     so the solve still reaches the default certificate."""
     basis = ModeBasis.symmetric_span(4)
-    mmap = build_measurement_map(basis, ScanGeometry.default(4, n_pixels_per_side=31))
+    mmap = build_measurement_map(basis, ScanGeometry(31, 3.0, default_planes(4)))
     rho = random_state(basis, 2, seed=5)
     scan = simulate_scan(rho, mmap, noise="poisson", photon_budget=1e5, seed=5)
     rep = reconstruct_positive(mmap, scan)
@@ -186,7 +187,7 @@ def test_unexplained_fraction_matches_dense_residual():
     scan, the dense least-squares residual's share on a noisy one, and None on
     a scan of zeros."""
     basis = ModeBasis.symmetric_span(4)
-    mmap = build_measurement_map(basis, ScanGeometry.default(4, n_pixels_per_side=41))
+    mmap = build_measurement_map(basis, ScanGeometry(41, 3.0, default_planes(4)))
     rho = random_state(basis, 2, seed=3)
     clean = reconstruct_positive(mmap, simulate_scan(rho, mmap)).metadata["unexplained_fraction"]
     assert 0.0 <= clean < 1e-20
@@ -211,7 +212,7 @@ def test_jacobian_matches_direction_stack(n_planes, width):
     coordinates, as the solver takes them."""
     basis = ModeBasis.symmetric_span(7)
     d = basis.dim
-    mmap = build_measurement_map(basis, ScanGeometry.default(n_planes))
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(n_planes)))
     zeros = IntensityScan(mmap.geometry, np.zeros(mmap.matrix.shape[0]))
     s, vt = mmap.least_squares(zeros)[:2]
     W = s[:, None] * vt
@@ -444,7 +445,7 @@ def test_uniqueness_entropy_validation():
 def test_cached_factorization_changes_nothing():
     """A map's factorization, once cached, gives the solves of a fresh map."""
     basis = ModeBasis.symmetric_span(4)
-    geom = ScanGeometry.default(2)
+    geom = ScanGeometry(19, 3.0, default_planes(2))
     warm = build_measurement_map(basis, geom)
     scan = simulate_scan(random_state(basis, 2, seed=31), warm)
     independent_detections(warm)  # factors the map before any solve
@@ -476,7 +477,7 @@ def test_cached_factorization_changes_nothing():
 def test_pseudoinverse_multistart_memory_scales_with_map():
     """The null basis comes from the thin factorization: no m x m U."""
     basis = ModeBasis.symmetric_span(4)
-    mmap = build_measurement_map(basis, ScanGeometry.default(2, n_pixels_per_side=41))
+    mmap = build_measurement_map(basis, ScanGeometry(41, 3.0, default_planes(2)))
     scan = simulate_scan(make_test_state(0.3, 0.4, basis), mmap)
     tracemalloc.start()
     try:
