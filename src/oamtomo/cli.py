@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
-    parser.add_argument("--strict", action="store_true", help="fail on non-convergence")
+    parser.add_argument("--strict", action="store_true", help="exit 4 if error-sweep or reconstruct does not converge")
     parser.add_argument(
         "--set",
         dest="overrides",

@@ -32,6 +32,7 @@ from .sensor import (
     MAX_ELL,
     MAX_PHOTON_BUDGET,
     MAX_PIXELS_PER_SIDE,
+    MAX_SOLVED_EXTENT,
     NOISE_MODELS,
     DarkScanError,
     IntensityScan,
@@ -86,7 +87,7 @@ class SpecValidationError(ValueError):
         self.problems = problems
         super().__init__("invalid experiment spec:\n  " + "\n  ".join(problems))
 
-    def __reduce__(self):  # so a sweep worker's error reaches the parent whole
+    def __reduce__(self):  # else pickle passes __init__ the joined message, and it returns one character per line
         return type(self), (self.problems,)
 
 
@@ -314,6 +315,8 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
         ScanGeometry(spec.n_pixels_per_side, spec.extent)
     except ValueError:
         problems.append(f"geometry.extent must give a positive finite pixel area, got {spec.extent!r}")
+    if spec.kind in ("error_sweep", "entropy_sweep", "reconstruct") and spec.extent > MAX_SOLVED_EXTENT:
+        problems.append(f"geometry.extent must be at most {MAX_SOLVED_EXTENT!r} to solve, got {spec.extent!r}")
     sweep = spec.kind in ("rank_analysis", "error_sweep", "entropy_sweep")  # each takes the first Z planes
     z_top = spec.z_max if spec.kind == "rank_analysis" else max(spec.z_values)
     if sweep and spec.planes and z_top > len(spec.planes):
@@ -439,8 +442,8 @@ def run_entropy_sweep(spec: ExperimentSpec) -> list[dict]:
     return _map_cells(spec, _entropy_cell, cells)
 
 
-def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
-    """Reconstruct a scan file and forward-simulate predicted scans."""
+def run_reconstruct(spec: ExperimentSpec) -> tuple[dict, IntensityScan]:
+    """The report record of a reconstruction of the scan file, and its estimate's scan at predict_planes."""
     scan = read_scan_csv(spec.scan_file, extent=spec.extent)
     basis = spec.basis()
     mmap = build_measurement_map(basis, scan.geometry)
@@ -454,29 +457,15 @@ def run_reconstruct(spec: ExperimentSpec, out_dir: str = ".") -> dict:
     if spec.compute_entropy:  # the run's one random draw: the restarts, seeded by the spec's seed
         result["uniqueness_entropy"] = uniqueness_entropy(mmap, scan, replace(spec.solver, seed=spec.seed))
 
-    os.makedirs(out_dir, exist_ok=True)
     pred_geom = replace(scan.geometry, planes=spec.predict_planes)
     pred_map = mmap if pred_geom == scan.geometry else build_measurement_map(basis, pred_geom)
-    pred_scan = simulate_scan(rep.estimate, pred_map)
-    pred_path = os.path.join(out_dir, "predicted_scans.csv")
-    write_scan_csv(pred_path, pred_scan)
-    result["predicted_scan_files"] = [pred_path]
-
-    report_path = os.path.join(out_dir, spec.output or "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(result, fh, indent=2)
-    result["report_file"] = report_path
-    return result
+    return result, simulate_scan(rep.estimate, pred_map)
 
 
-def run_simulate(spec: ExperimentSpec, out_dir: str = ".") -> str:
-    """Generate a scan CSV from the configured state."""
+def run_simulate(spec: ExperimentSpec) -> IntensityScan:
+    """The scan of the configured state."""
     mmap = build_measurement_map(spec.basis(), spec.geometry())
-    _, scan = _draw(spec, mmap, spec.state_rank, derive_seed(spec.seed, 0))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, spec.output or "scan.csv")
-    write_scan_csv(path, scan)
-    return path
+    return _draw(spec, mmap, spec.state_rank, derive_seed(spec.seed, 0))[1]
 
 
 def run_validate(spec: ExperimentSpec) -> None:
@@ -510,27 +499,36 @@ def write_sweep_csv(path: str, rows: list[dict]) -> None:
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str = ".") -> str:
-    """Run spec.kind, write its outputs under out_dir, and return the text that reports them."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Run spec.kind, write every file of the run under out_dir, and return the text that reports them."""
     sweeps = {
         "rank_analysis": run_rank_analysis,
         "error_sweep": run_error_sweep,
         "entropy_sweep": run_entropy_sweep,
     }
     try:
+        if spec.kind == "validate":  # it writes nothing
+            run_validate(spec)
+            return "all files valid"
+        os.makedirs(out_dir, exist_ok=True)  # before the run, so an unusable out_dir fails before any solve
+        name = {"reconstruct": "report.json", "simulate": "scan.csv"}.get(spec.kind, f"{spec.kind}.csv")
+        path = os.path.join(out_dir, spec.output or name)
         if spec.kind in sweeps:
             rows = sweeps[spec.kind](spec)
-            write_sweep_csv(os.path.join(out_dir, spec.output or f"{spec.kind}.csv"), rows)
+            write_sweep_csv(path, rows)
             if spec.kind == "rank_analysis":
                 return "\n".join(f"Z={row['Z']}: n_Z={row['n_detections']}" for row in rows)
             return f"wrote {len(rows)} sweep cells"
         if spec.kind == "reconstruct":
-            return f"report written to {run_reconstruct(spec, out_dir)['report_file']}"
+            result, predicted = run_reconstruct(spec)
+            pred_path = os.path.join(out_dir, "predicted_scans.csv")
+            write_scan_csv(pred_path, predicted)
+            result["predicted_scan_files"] = [pred_path]
+            with open(path, "w") as fh:
+                json.dump(result, fh, indent=2)
+            return f"report written to {path}"
         if spec.kind == "simulate":
-            return f"scan written to {run_simulate(spec, out_dir)}"
-        if spec.kind == "validate":
-            run_validate(spec)
-            return "all files valid"
+            write_scan_csv(path, run_simulate(spec))
+            return f"scan written to {path}"
     except (DarkScanError, MemoryError) as exc:  # no light on the run's grid, or no room for its map
         n = spec.n_pixels_per_side
         grid = f"the grid of {reprlib.repr(spec.scan_file)}" if spec.scan_file else f"a {n}x{n} grid"

@@ -33,6 +33,7 @@ from oamtomo.qstate import (
     test_state as probe_state,
 )
 from oamtomo.sensor import (
+    MAX_SOLVED_EXTENT,
     MeasurementMap,
     ScanFormatError,
     ScanGeometry,
@@ -219,7 +220,8 @@ def test_nonnegative_error_sweep_ignores_basis_ell_max(tmp_path, capsys):
 def test_simulate_keeps_every_explicit_plane(tmp_path):
     obj = {"kind": "simulate", "basis": {"ell_max": 1}, "geometry": {**SMALL_GEOM, "planes": PLANES}}
     spec = parse_spec(obj)  # its geometry.n_planes, 2 by default, gives way to the explicit list
-    assert read_scan_csv(run_simulate(spec, out_dir=str(tmp_path))).geometry.planes == tuple(PLANES)
+    run_experiment(spec, out_dir=str(tmp_path))
+    assert read_scan_csv(tmp_path / "scan.csv").geometry.planes == tuple(PLANES)
 
 
 def test_error_sweep_rows_and_determinism(tmp_path):
@@ -326,7 +328,8 @@ def test_simulate_then_reconstruct_roundtrip(tmp_path):
             "seed": 9,
         }
     )
-    scan_path = run_simulate(sim, out_dir=str(tmp_path))
+    run_experiment(sim, out_dir=str(tmp_path))
+    scan_path = str(tmp_path / "scan.csv")
     scan = read_scan_csv(scan_path)
     assert scan.geometry.planes == (1.0,)
 
@@ -338,7 +341,8 @@ def test_simulate_then_reconstruct_roundtrip(tmp_path):
             "predict_planes": [0.0, 1.0],
         }
     )
-    result = run_reconstruct(rec, out_dir=str(tmp_path))
+    run_experiment(rec, out_dir=str(tmp_path))
+    result = json.loads((tmp_path / "report.json").read_text())
     assert result["converged"]
     assert result["metadata"]["informationally_complete"]
     assert result["metadata"]["independent_detections"] == 9
@@ -347,8 +351,7 @@ def test_simulate_then_reconstruct_roundtrip(tmp_path):
     basis = ModeBasis.nonnegative_span(3)
     seed = derive_seed(9, 0)
     truth = random_state(basis, 2, seed)
-    report = json.loads((tmp_path / "report.json").read_text())
-    est = np.array(report["estimate"]["re"]) + 1j * np.array(report["estimate"]["im"])
+    est = np.array(result["estimate"]["re"]) + 1j * np.array(result["estimate"]["im"])
     assert np.linalg.norm(est - truth.entries) < 1e-5
 
     # predicted scans agree with a fresh forward simulation of the truth
@@ -369,7 +372,8 @@ def test_reconstruct_predictions_reuse_scan_map(tmp_path, monkeypatch, predict_p
     map, not a second build, and equal those of a freshly built map."""
     sim = {"kind": "simulate", "basis": {"ell_max": 1}, "output": "scan.csv"}
     sim["geometry"] = {**SMALL_GEOM, "planes": [0.0, 1 / 3, 1 / 2, 1.0]}
-    scan_path = run_simulate(parse_spec(sim), out_dir=str(tmp_path))
+    run_experiment(parse_spec(sim), out_dir=str(tmp_path))
+    scan_path = str(tmp_path / "scan.csv")
     rec = {"kind": "reconstruct", "basis": {"ell_max": 1}, "scan_file": scan_path}
     if predict_planes is not None:
         rec["predict_planes"] = predict_planes
@@ -380,15 +384,15 @@ def test_reconstruct_predictions_reuse_scan_map(tmp_path, monkeypatch, predict_p
     monkeypatch.setattr(
         experiments, "build_measurement_map", lambda *args: builds.append(args) or build(*args)
     )
-    result = run_reconstruct(rec, out_dir=str(tmp_path))
+    result, predicted = run_reconstruct(rec)
     assert len(builds) == map_builds
 
     scan = read_scan_csv(scan_path)
     geom = ScanGeometry(scan.geometry.n_pixels_per_side, scan.geometry.extent, rec.predict_planes)
     estimate = state_from_json_dict(result["estimate"])
     write_scan_csv(tmp_path / "fresh.csv", simulate_scan(estimate, build(rec.basis(), geom)))
-    predicted = tmp_path / "predicted_scans.csv"
-    assert predicted.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    write_scan_csv(tmp_path / "predicted.csv", predicted)
+    assert (tmp_path / "predicted.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_strict_mode_raises_on_nonconvergence(tmp_path):
@@ -400,7 +404,8 @@ def test_strict_mode_raises_on_nonconvergence(tmp_path):
             "output": "scan.csv",
         }
     )
-    scan_path = run_simulate(sim, out_dir=str(tmp_path))
+    run_experiment(sim, out_dir=str(tmp_path))
+    scan_path = str(tmp_path / "scan.csv")
     rec = parse_spec(
         {
             "kind": "reconstruct",
@@ -411,7 +416,23 @@ def test_strict_mode_raises_on_nonconvergence(tmp_path):
     )
     rec.strict = True
     with pytest.raises(NonConvergenceError):
-        run_reconstruct(rec, out_dir=str(tmp_path))
+        run_reconstruct(rec)
+
+
+def test_runners_return_what_they_computed_and_write_nothing(tmp_path, monkeypatch):
+    """run_experiment is the one writer: the runners leave the working directory as they found it."""
+    sim = {"kind": "simulate", "basis": {"ell_max": 1}, "geometry": SMALL_GEOM}
+    run_experiment(parse_spec(sim), out_dir=str(tmp_path / "in"))
+    rec = {"kind": "reconstruct", "basis": {"ell_max": 1}, "scan_file": str(tmp_path / "in" / "scan.csv")}
+    rec = parse_spec({**rec, "compute_entropy": True, "solver": {"multistart": 2}})
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    scan = run_simulate(parse_spec(sim))
+    result, predicted = run_reconstruct(rec)
+    assert list((tmp_path / "cwd").iterdir()) == []
+    assert np.array_equal(scan.values, read_scan_csv(tmp_path / "in" / "scan.csv").values)
+    assert predicted.geometry.planes == rec.predict_planes
+    assert "report_file" not in result and "predicted_scan_files" not in result  # what run_experiment wrote
 
 
 # ------------------------------------------------------------------ CLI
@@ -952,12 +973,42 @@ def test_cli_far_extent_runs(tmp_path, capsys, command):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["error-sweep", "--set", "trials=1"], ["entropy-sweep"], ["reconstruct"]])
+def test_cli_far_extent_that_solves_exits_2(tmp_path, capsys, command):
+    """Past the bound a solve's scale ||A^T p|| overflows (from 1e39), and from about 1e81 its report
+    holds NaN, so a run that solves refuses such an extent; simulate and rank-analysis still run."""
+    far = ["basis.ell_max=1", "geometry.n_pixels_per_side=3", "geometry.extent=1e100"]
+    assert main(["simulate", "--out", str(tmp_path), *(a for f in far for a in ("--set", f))]) == EXIT_OK
+    far += ["z_values=[1]", "ranks=[1]", "n_states=2", f'scan_file="{tmp_path / "scan.csv"}"']
+    assert main([*command, "--out", str(tmp_path), *(a for f in far for a in ("--set", f))]) == EXIT_SPEC
+    assert "  geometry.extent must be at most 1e+29 to solve, got 1e+100" in capsys.readouterr().err.splitlines()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow anywhere in the run
+@pytest.mark.parametrize("n", [1, 3])
+def test_cli_reconstruct_at_the_extent_bound_reports_finite_numbers(tmp_path, capsys, n):
+    at = ["basis.ell_max=1", f"geometry.n_pixels_per_side={n}", f"geometry.extent={MAX_SOLVED_EXTENT!r}"]
+    sim = [*at, "state.rank=2", "geometry.n_planes=4"]
+    assert main(["simulate", "--out", str(tmp_path), *(a for f in sim for a in ("--set", f))]) == EXIT_OK
+    rec = [*at, f'scan_file="{tmp_path / "scan.csv"}"', "compute_entropy=true", "solver.multistart=2"]
+    assert main(["reconstruct", "--out", str(tmp_path), *(a for f in rec for a in ("--set", f))]) == EXIT_OK
+    capsys.readouterr()
+
+    def not_finite(token):
+        raise AssertionError(f"report.json holds {token}")
+
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=not_finite)
+    assert report["metadata"]["stop_reason"] == "certified"
+
+
 def test_cli_validate_state_file(tmp_path, capsys):
     rho = random_state(ModeBasis.symmetric_span(1), 1, seed=2)
     path = tmp_path / "state.json"
     write_state_json(path, rho)
-    assert main(["validate", "--set", f'state_file="{path}"']) == EXIT_OK
-    capsys.readouterr()
+    assert main(["validate", "--set", f'state_file="{path}"', "--out", str(tmp_path / "new")]) == EXIT_OK
+    assert capsys.readouterr().out == "all files valid\n"
+    assert not (tmp_path / "new").exists()  # validate writes nothing, so it makes no --out
 
     bad = tmp_path / "bad_state.json"
     bad.write_text(json.dumps({"ells": [0, 1], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}))
