@@ -58,7 +58,7 @@ SVD_RCOND = 1e-12  # singular values of A kept in its factors, relative to the l
 MAX_ELL = 170  # the largest |ell| of a mode: _norm divides by |ell|!, and 171! exceeds the largest double
 MAX_PIXELS_PER_SIDE = 2**30 - 1  # from 2**30, numpy cannot size the grid's n*n pixel indices at all
 MAX_PHOTON_BUDGET = 1e18  # below the largest mean numpy's Poisson sampler draws from, about 9.2e18
-MAX_SOLVED_EXTENT = 1e29  # 1e10 below 1e39, where a 1x1 solve's scale ||A^T p|| (~extent^4) squared overflows
+MAX_SOLVED_EXTENT = 1e29  # far below 1e77, where a 1x1 solve's scale ||A^T p|| (~extent^4) passes the largest double
 NOISE_MODELS = ("none", "poisson")  # the noise models simulate_scan draws, the noiseless one first
 
 

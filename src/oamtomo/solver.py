@@ -62,7 +62,8 @@ TRIAL_STEPS = 5  # damped steps a narrower factor gets to beat the current objec
 # E of L to E/2, so a singular value of L that lands in this band of its value
 # before the step is halving. The band allows for the damping and the step's
 # second-order term; a wider one (0.3-0.7) also caught genuine columns that
-# were still converging, and cost the camera scans steps.
+# were still converging, and cost the camera scans steps. The tail
+# extrapolation reads the size of a step against the last one's in this band.
 HALVING = (0.4, 0.6)
 
 
@@ -166,25 +167,33 @@ def reconstruct_positive(
     columns, so the singular values of L are kept from step to step: once
     the trailing ones have fallen into the HALVING band of their previous
     values on two accepted steps in a row, L is cut to its leading columns
-    by a truncated SVD, unless that raises the objective. Slower columns go
-    on trial: when a step gains less than SLOW_GAIN the weakest column is
-    dropped, and the trial is kept if a few steps from the narrower factor
-    end below the current objective.
+    by a truncated SVD, unless that raises the objective. A step can also
+    halve with no singular value halving: at a minimizer that is not unique,
+    Gauss-Newton converges linearly along the face, each step half the last
+    and ||A x - p|| quartered. When an accepted step D is in the HALVING band
+    of the previous accepted step's size and no singular value is halving, L
+    moves on by D once more, the rest of the geometric series D/2 + D/4 + ...,
+    if that lowers the objective (Decker, Keller & Kelley 1983; Griewank
+    1985). Slower columns go on trial: when a step gains less than SLOW_GAIN
+    the weakest column is dropped, and the trial is kept if a few steps from
+    the narrower factor end below the current objective.
 
     ``converged`` is the first-order certificate of the module docstring with
     tol = rel_tolerance: X is a minimizer to that tolerance, not necessarily
     the only one. Every damped step, trial steps included, counts toward
-    ``iterations_used`` and ``max_iterations``; a halving drop is not a step
-    and does not count. ``objective_history`` holds ||A x - p|| at the start
-    and after each outer step. The metadata carry both certificate values,
-    ``stop_reason`` ("certified", "max_iterations" or "stalled"), the number
-    of steps and the final factor width, and ``unexplained_fraction``
+    ``iterations_used`` and ``max_iterations``; a halving drop or a tail
+    extrapolation is not a step and does not count. ``objective_history``
+    holds ||A x - p|| at the start and after each outer step. The metadata
+    carry both certificate values, ``stop_reason`` ("certified",
+    "max_iterations" or "stalled"), the number of steps, the final factor
+    width, the number of tail extrapolations kept, and ``unexplained_fraction``
     2 f_res / ||p||^2, the share of the scan's power that no state fits
     (None for a scan of zeros).
     """
     d = mmap.basis.dim
     s, vt, b, f_res, x, _ = mmap.least_squares(scan)
-    scale = float(np.linalg.norm(s * b)) or 1.0  # ||A^T p|| on the kept singular values
+    e = math.frexp(s[0])[1]  # ||A^T p|| = ||s b|| grows as extent^4: scale by 2^-e, exactly, before squaring
+    scale = math.ldexp(float(np.linalg.norm(np.ldexp(s, -e) * b)), e) or 1.0
     tol = cfg.rel_tolerance
     M = coords_to_hermitian(s[:, None] * vt, d)  # (W x)_i = Tr(M_i X)
     # W coords(H) = Wr @ H.view(float).ravel() for a Hermitian H, since Tr(M_i H) = <M_i, H>
@@ -230,7 +239,8 @@ def reconstruct_positive(
     mu = None
     failed_widths: set[int] = set()
     sv = np.empty(0)
-    steps = 0
+    steps = extrapolations = 0
+    size = math.inf
     while True:
         X, r, f = cur
         history.append(math.sqrt(max(2.0 * f, 0.0)))
@@ -257,6 +267,7 @@ def reconstruct_positive(
         elif step is None:
             break
         else:
+            D = step[0] - L
             L, cur, mu, _ = step
             prev, sv = sv, _singular_values(L)
             now = (HALVING[0] * prev < sv) & (sv < HALVING[1] * prev)
@@ -268,6 +279,12 @@ def reconstruct_positive(
                 if cut_state[2] <= cur[2]:
                     L, cur, mu = cut, cut_state, None
                     continue
+            size, last = float(np.linalg.norm(D)), size
+            if not now.any() and HALVING[0] * last < size < HALVING[1] * last:
+                ext_state = state(L + D)
+                if ext_state[2] < cur[2]:
+                    L, cur, extrapolations = L + D, ext_state, extrapolations + 1
+                    sv = _singular_values(L)
             if k > 1 and k not in failed_widths and cur[2] - f_res > SLOW_GAIN * (f - f_res):
                 trial = _truncate(L, k - 1)
                 trial_state, trial_mu = state(trial), None
@@ -298,6 +315,7 @@ def reconstruct_positive(
         kkt_complementarity=comp,
         refine_steps=steps,
         refine_rank=L.shape[1],
+        tail_extrapolations=extrapolations,
         unexplained_fraction=2.0 * f_res / power if power > 0 else None,
     )
     return ReconstructionReport(

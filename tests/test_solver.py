@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oamtomo.experiments import derive_seed
+from oamtomo.experiments import derive_seed, entropy_cell_inputs, parse_spec
 from oamtomo.qstate import (
     DensityMatrix,
     ModeBasis,
@@ -154,7 +154,8 @@ def test_positive_drops_halving_columns():
     space makes the start wider than rank 1, and each Gauss-Newton step only
     halves the spurious columns; dropping them once they have halved twice
     reaches the certificate in a few steps, and the drop's guard keeps the
-    objective from rising."""
+    objective from rising. The halving is the drop's case, so the tail
+    extrapolation stays out of it."""
     basis = ModeBasis.symmetric_span(7)
     mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(2)))
     rho = random_state(basis, 1, seed=derive_seed(0, 7, 2, 1, 0))
@@ -162,8 +163,60 @@ def test_positive_drops_halving_columns():
     assert rep.metadata["stop_reason"] == "certified"
     assert rep.iterations_used <= 8
     assert rep.metadata["refine_rank"] == 1
+    assert rep.metadata["tail_extrapolations"] == 0
     assert hs_error(rep.estimate, rho) < 1e-20
     assert np.all(np.diff(rep.objective_history) <= 0.0)
+
+
+def test_positive_extrapolates_the_quartering_tail():
+    """Criterion-6 probe state 0 at Z = 1 from its first restart. The
+    minimizer is not unique, and near it each damped step halves while the
+    singular values of L stay put: a singular Gauss-Newton tail, in which
+    ||A x - p|| falls by 4x per step (twelve steps in a row without the
+    extrapolation). Adding the rest of the geometric series, one more copy
+    of the step, lands near its limit in one go."""
+    spec = parse_spec(
+        {
+            "kind": "entropy_sweep",
+            "basis": {"ell_max": 4},
+            "z_values": [1],
+            "n_states": 1,
+            "state": {"kind": "test"},
+            "seed": 0,
+        }
+    )
+    mmap, [(scan, cfg)] = entropy_cell_inputs(spec, 1)
+    start = random_state(mmap.basis, mmap.basis.dim, np.random.default_rng(cfg.seed))
+    rep = reconstruct_positive(mmap, scan, cfg, start)
+    assert rep.metadata["stop_reason"] == "certified"
+    assert rep.metadata["tail_extrapolations"] >= 1
+    assert rep.iterations_used <= 14
+    assert np.all(np.diff(rep.objective_history) <= 0.0)
+
+
+@pytest.mark.parametrize("n_pixels", [1, 3])
+@pytest.mark.parametrize("extent", [1e39, 1e60])
+def test_positive_certificate_at_far_extents(n_pixels, extent):
+    """||A^T p|| grows as extent^4, and its square overflows from extent 1e39
+    on. The certificate's scale must not, or every value it divides reads 0
+    and a start that is no minimizer is certified at step 0. Here the scan is
+    twice a state's, so a unit-trace start is not a minimizer; the reported
+    values match ones recomputed from the map rescaled to unit size."""
+    basis = ModeBasis.symmetric_span(1)
+    mmap = build_measurement_map(basis, ScanGeometry(n_pixels, extent, (0.0,)))
+    scan = simulate_scan(random_state(basis, 2, seed=0), mmap)
+    scan = IntensityScan(scan.geometry, 2.0 * scan.values)
+    rep = reconstruct_positive(mmap, scan, initial=random_state(basis, 2, seed=1))
+    c = np.abs(mmap.matrix).max()  # the certificate's values are scale-free
+    A, p = mmap.matrix / c, scan.values / c
+    X = rep.estimate.entries * rep.metadata["raw_trace"]
+    S = coords_to_hermitian(A.T @ (A @ hermitian_to_coords(X) - p), basis.dim)
+    scale = np.linalg.norm(A.T @ p)
+    min_eig = np.linalg.eigvalsh(S)[0] / scale
+    comp = abs(np.vdot(X, S).real) / np.trace(X).real / scale
+    assert rep.metadata["kkt_min_eig"] == pytest.approx(min_eig, abs=1e-12)
+    assert rep.metadata["kkt_complementarity"] == pytest.approx(comp, abs=1e-12)
+    assert rep.converged
 
 
 def test_positive_certified_on_poisson_data():
