@@ -32,7 +32,6 @@ from .sensor import (
     MAX_ELL,
     MAX_PHOTON_BUDGET,
     MAX_PIXELS_PER_SIDE,
-    MAX_SOLVED_EXTENT,
     NOISE_MODELS,
     DarkScanError,
     IntensityScan,
@@ -315,8 +314,6 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
         ScanGeometry(spec.n_pixels_per_side, spec.extent)
     except ValueError:
         problems.append(f"geometry.extent must give a positive finite pixel area, got {spec.extent!r}")
-    if spec.kind in ("error_sweep", "entropy_sweep", "reconstruct") and spec.extent > MAX_SOLVED_EXTENT:
-        problems.append(f"geometry.extent must be at most {MAX_SOLVED_EXTENT!r} to solve, got {spec.extent!r}")
     sweep = spec.kind in ("rank_analysis", "error_sweep", "entropy_sweep")  # each takes the first Z planes
     z_top = spec.z_max if spec.kind == "rank_analysis" else max(spec.z_values)
     if sweep and spec.planes and z_top > len(spec.planes):

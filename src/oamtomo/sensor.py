@@ -58,7 +58,6 @@ SVD_RCOND = 1e-12  # singular values of A kept in its factors, relative to the l
 MAX_ELL = 170  # the largest |ell| of a mode: _norm divides by |ell|!, and 171! exceeds the largest double
 MAX_PIXELS_PER_SIDE = 2**30 - 1  # from 2**30, numpy cannot size the grid's n*n pixel indices at all
 MAX_PHOTON_BUDGET = 1e18  # below the largest mean numpy's Poisson sampler draws from, about 9.2e18
-MAX_SOLVED_EXTENT = 1e29  # far below 1e77, where a 1x1 solve's scale ||A^T p|| (~extent^4) passes the largest double
 NOISE_MODELS = ("none", "poisson")  # the noise models simulate_scan draws, the noiseless one first
 
 
@@ -246,13 +245,14 @@ class MeasurementMap:
         q, u, s, vt = self.svd
         if not len(s):
             raise DarkScanError("measurement map is identically zero: no pixel sees light")
-        planes = scan.values.reshape(self.geometry.n_planes, -1)
+        e = math.frexp(s[0])[1]  # a pixel's value grows as extent^2: scale by 2^-e, exactly, before squaring
+        s, planes = np.ldexp(s, -e), np.ldexp(scan.values, -e).reshape(self.geometry.n_planes, -1)
         c = planes @ q
         b = u.T @ c.ravel()
         inside = c.ravel() - u @ b
         outside = planes - c @ q.T
         f_res = 0.5 * (float(np.vdot(outside, outside)) + float(inside @ inside))
-        return LeastSquares(s, vt[: len(s)], b, f_res, vt[: len(s)].T @ (b / s), vt[len(s) :])
+        return LeastSquares(s, vt[: len(s)], b, f_res, vt[: len(s)].T @ (b / s), vt[len(s) :], e)
 
 
 class LeastSquares(NamedTuple):
@@ -264,6 +264,7 @@ class LeastSquares(NamedTuple):
     f_res: float
     x: np.ndarray
     null: np.ndarray
+    e: int
 
 
 @dataclass(frozen=True)

@@ -191,9 +191,8 @@ def reconstruct_positive(
     (None for a scan of zeros).
     """
     d = mmap.basis.dim
-    s, vt, b, f_res, x, _ = mmap.least_squares(scan)
-    e = math.frexp(s[0])[1]  # ||A^T p|| = ||s b|| grows as extent^4: scale by 2^-e, exactly, before squaring
-    scale = math.ldexp(float(np.linalg.norm(np.ldexp(s, -e) * b)), e) or 1.0
+    s, vt, b, f_res, x, _, e = mmap.least_squares(scan)
+    scale = float(np.linalg.norm(s * b)) or 1.0  # ||A^T p||, in the model's units
     tol = cfg.rel_tolerance
     M = coords_to_hermitian(s[:, None] * vt, d)  # (W x)_i = Tr(M_i X)
     # W coords(H) = Wr @ H.view(float).ravel() for a Hermitian H, since Tr(M_i H) = <M_i, H>
@@ -243,7 +242,7 @@ def reconstruct_positive(
     size = math.inf
     while True:
         X, r, f = cur
-        history.append(math.sqrt(max(2.0 * f, 0.0)))
+        history.append(math.ldexp(math.sqrt(max(2.0 * f, 0.0)), e))
         S = (r @ Wr).view(complex).reshape(d, d)
         eig, comp, v = _certificate(S, X, scale)
         converged = eig >= -tol and comp <= tol
@@ -307,7 +306,8 @@ def reconstruct_positive(
         reason = "max_iterations"
     else:
         reason = "stalled"
-    power = float(scan.values @ scan.values)
+    p = np.ldexp(scan.values, -e)  # in the model's units, so ||p||^2 cannot overflow
+    power = float(p @ p)
     est, meta = _finalize(mmap, X)
     meta.update(
         stop_reason=reason,
@@ -338,7 +338,7 @@ def reconstruct_pseudoinverse(
     """
     model = mmap.least_squares(scan)
     est, meta = _finalize(mmap, coords_to_hermitian(model.x, mmap.basis.dim), project=False)
-    residual = math.sqrt(2.0 * model.f_res)  # ||A x - p|| at x = A^+ p, without cancellation
+    residual = math.ldexp(math.sqrt(2.0 * model.f_res), model.e)  # ||A x - p|| at x = A^+ p, without cancellation
     meta["raw_residual"] = residual
     return ReconstructionReport(
         estimate=est,

@@ -33,7 +33,6 @@ from oamtomo.qstate import (
     test_state as probe_state,
 )
 from oamtomo.sensor import (
-    MAX_SOLVED_EXTENT,
     MeasurementMap,
     ScanFormatError,
     ScanGeometry,
@@ -974,32 +973,37 @@ def test_cli_far_extent_runs(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [["error-sweep", "--set", "trials=1"], ["entropy-sweep"], ["reconstruct"]])
-def test_cli_far_extent_that_solves_exits_2(tmp_path, capsys, command):
-    """Past the bound a solve's scale ||A^T p|| overflows (from 1e39), and from about 1e81 its report
-    holds NaN, so a run that solves refuses such an extent; simulate and rank-analysis still run."""
+def test_cli_far_extent_solves(tmp_path, capsys, command):
+    """At extent 1e100 a solve's ||A^T p|| passes the largest double in absolute units; the
+    least-squares model works in units of 2^e, so every run that solves runs and writes its file."""
     far = ["basis.ell_max=1", "geometry.n_pixels_per_side=3", "geometry.extent=1e100"]
     assert main(["simulate", "--out", str(tmp_path), *(a for f in far for a in ("--set", f))]) == EXIT_OK
     far += ["z_values=[1]", "ranks=[1]", "n_states=2", f'scan_file="{tmp_path / "scan.csv"}"']
-    assert main([*command, "--out", str(tmp_path), *(a for f in far for a in ("--set", f))]) == EXIT_SPEC
-    assert "  geometry.extent must be at most 1e+29 to solve, got 1e+100" in capsys.readouterr().err.splitlines()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
+    assert main([*command, "--out", str(tmp_path), *(a for f in far for a in ("--set", f))]) == EXIT_OK
+    capsys.readouterr()
+    written = {"error-sweep": "error_sweep.csv", "entropy-sweep": "entropy_sweep.csv", "reconstruct": "report.json"}
+    assert (tmp_path / written[command[0]]).is_file()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow anywhere in the run
 @pytest.mark.parametrize("n", [1, 3])
 def test_cli_reconstruct_at_the_extent_bound_reports_finite_numbers(tmp_path, capsys, n):
-    at = ["basis.ell_max=1", f"geometry.n_pixels_per_side={n}", f"geometry.extent={MAX_SOLVED_EXTENT!r}"]
-    sim = [*at, "state.rank=2", "geometry.n_planes=4"]
-    assert main(["simulate", "--out", str(tmp_path), *(a for f in sim for a in ("--set", f))]) == EXIT_OK
-    rec = [*at, f'scan_file="{tmp_path / "scan.csv"}"', "compute_entropy=true", "solver.multistart=2"]
-    assert main(["reconstruct", "--out", str(tmp_path), *(a for f in rec for a in ("--set", f))]) == EXIT_OK
-    capsys.readouterr()
+    """From extent 1e77 on, ||A^T p|| passes the largest double on a 1x1 grid, and 1e150 is
+    near the largest extent a grid takes: a 4-plane solve there reports finite numbers."""
+    for extent in (1e77, 1e150) if n == 1 else (1e150,):
+        out = tmp_path / repr(extent)
+        at = ["basis.ell_max=1", f"geometry.n_pixels_per_side={n}", f"geometry.extent={extent!r}"]
+        sim = [*at, "state.rank=2", "geometry.n_planes=4"]
+        assert main(["simulate", "--out", str(out), *(a for f in sim for a in ("--set", f))]) == EXIT_OK
+        rec = [*at, f'scan_file="{out / "scan.csv"}"', "compute_entropy=true", "solver.multistart=2"]
+        assert main(["reconstruct", "--out", str(out), *(a for f in rec for a in ("--set", f))]) == EXIT_OK
+        capsys.readouterr()
 
-    def not_finite(token):
-        raise AssertionError(f"report.json holds {token}")
+        def not_finite(token):
+            raise AssertionError(f"report.json holds {token}")
 
-    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=not_finite)
-    assert report["metadata"]["stop_reason"] == "certified"
+        report = json.loads((out / "report.json").read_text(), parse_constant=not_finite)
+        assert report["metadata"]["stop_reason"] == "certified"
 
 
 def test_cli_validate_state_file(tmp_path, capsys):

@@ -349,7 +349,10 @@ def test_factorization_matches_dense_svd(basis, geom):
     p = np.random.default_rng(7).uniform(size=A.shape[0])
     k = int(np.sum(s_dense > SVD_RCOND * s_dense[0]))
     assert k == int(np.sum(s > SVD_RCOND * s[0]))
-    b, unfit = mmap.least_squares(IntensityScan(geom, p))[2:4]
+    model = mmap.least_squares(IntensityScan(geom, p))
+    assert np.array_equal(model.s, np.ldexp(mmap.svd.s, -model.e))  # the model works in units of 2^e
+    assert 0.5 <= model.s[0] < 1
+    b, unfit = np.ldexp(model.b, model.e), math.ldexp(model.f_res, 2 * model.e)
     b_dense = u_dense[:, :k].T @ p
     fitted = ((u[:, :k] @ b).reshape(geom.n_planes, -1) @ q.T).ravel()
     fitted_dense = u_dense[:, :k] @ b_dense

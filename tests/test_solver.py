@@ -194,14 +194,24 @@ def test_positive_extrapolates_the_quartering_tail():
     assert np.all(np.diff(rep.objective_history) <= 0.0)
 
 
+LARGEST_EXTENT = {1: 6.7039e153, 3: 2.0111e154}  # on 1x1 and 3x3 grids, to five digits: past it the pixel area overflows
+
+
+@pytest.mark.filterwarnings("error")  # no overflow anywhere in the solve
 @pytest.mark.parametrize("n_pixels", [1, 3])
-@pytest.mark.parametrize("extent", [1e39, 1e60])
+@pytest.mark.parametrize("extent", [1e39, 1e60, 1e100, 1e150])
 def test_positive_certificate_at_far_extents(n_pixels, extent):
-    """||A^T p|| grows as extent^4, and its square overflows from extent 1e39
-    on. The certificate's scale must not, or every value it divides reads 0
-    and a start that is no minimizer is certified at step 0. Here the scan is
-    twice a state's, so a unit-trace start is not a minimizer; the reported
-    values match ones recomputed from the map rescaled to unit size."""
+    """||A^T p|| grows as extent^4, and the least-squares model works in units
+    of 2^e, e the exponent of s[0], so the certificate's scale neither
+    overflows nor reads 0 up to the largest extent the geometry accepts; if it
+    did, every value it divides would read 0 and a start that is no minimizer
+    would be certified at step 0. Here the scan is twice a state's, so a
+    unit-trace start is not a minimizer; the reported values match ones
+    recomputed from the map rescaled to unit size."""
+    if extent == "largest":
+        extent = LARGEST_EXTENT[n_pixels]
+        with pytest.raises(ValueError, match="positive finite pixel area"):
+            ScanGeometry(n_pixels, 1.0001 * extent, (0.0,))
     basis = ModeBasis.symmetric_span(1)
     mmap = build_measurement_map(basis, ScanGeometry(n_pixels, extent, (0.0,)))
     scan = simulate_scan(random_state(basis, 2, seed=0), mmap)
