@@ -118,7 +118,7 @@ class ScanGeometry:
         """Flattened (x, y) pixel-center coordinates, row-major (y outer)."""
         n = self.n_pixels_per_side
         step = 2.0 * self.extent / n
-        c = -self.extent + (np.arange(n) + 0.5) * step
+        c = (np.arange(n) - (n - 1) / 2) * step  # exactly minus its mirror, and an odd grid's centre is 0
         xx, yy = np.meshgrid(c, c, indexing="xy")
         return xx.ravel(), yy.ravel()
 

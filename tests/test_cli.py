@@ -985,12 +985,23 @@ def test_cli_far_extent_solves(tmp_path, capsys, command):
     assert (tmp_path / written[command[0]]).is_file()
 
 
+@pytest.mark.parametrize("n, extent", [(3, 9e24), (7, 9e18)])
+def test_cli_error_sweep_lights_an_odd_grids_centre(tmp_path, capsys, n, extent):
+    """An odd grid's centre pixel is exactly at 0, so it sees light at any extent: a
+    centre off 0 by rounding, of order eps * extent, went dark here and the map with it."""
+    far = ["basis.ell_max=1", f"geometry.n_pixels_per_side={n}", f"geometry.extent={extent!r}"]
+    far += ["z_values=[1]", "ranks=[1]", "trials=1"]
+    assert main(["error-sweep", "--out", str(tmp_path), *(a for f in far for a in ("--set", f))]) == EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "error_sweep.csv").is_file()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow anywhere in the run
 @pytest.mark.parametrize("n", [1, 3])
 def test_cli_reconstruct_at_the_extent_bound_reports_finite_numbers(tmp_path, capsys, n):
     """From extent 1e77 on, ||A^T p|| passes the largest double on a 1x1 grid, and 1e150 is
     near the largest extent a grid takes: a 4-plane solve there reports finite numbers."""
-    for extent in (1e77, 1e150) if n == 1 else (1e150,):
+    for extent in (1e77, 1e150):
         out = tmp_path / repr(extent)
         at = ["basis.ell_max=1", f"geometry.n_pixels_per_side={n}", f"geometry.extent={extent!r}"]
         sim = [*at, "state.rank=2", "geometry.n_planes=4"]

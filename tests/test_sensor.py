@@ -77,6 +77,17 @@ def test_pixel_centers_match_formula():
     np.testing.assert_allclose(yy[:4], expected[0])
 
 
+@pytest.mark.parametrize("n", [19, 101])
+def test_pixel_centers_are_exactly_their_own_mirror(n):
+    """The factorization takes the grid as its own quarter-turn image, so each
+    centre is exactly minus its mirror, and an odd grid's centre pixel is at 0."""
+    xx, yy = ScanGeometry(n, 3.0, (0.0,)).pixel_centers()
+    c = xx[:n]
+    assert np.array_equal(c, -c[::-1])
+    assert np.array_equal(yy[::n], c)
+    assert c[n // 2] == 0.0
+
+
 # -------------------------------------------------------------- coefficient
 
 
