@@ -236,16 +236,17 @@ class MeasurementMap:
         is never formed: with c_j = q^T p_j, 2 f_res is the sum over the planes
         of ||p_j - q c_j||^2 plus ||c - u_k b||^2. These residuals are taken
         directly, so f_res, the objective and its gradient W^T (W x - b) have no
-        cancellation, however small the residual is. Raises DarkScanError when the
-        map keeps no singular value (s is empty): no pixel sees light, and
-        every estimator reads the map through this model.
+        cancellation, however small the residual is. The model is in units of 2^e,
+        e = frexp(s[0])[1]: s and p are scaled by 2^-e, exactly, before squaring.
+        Raises DarkScanError when the map keeps no singular value (s is empty): no
+        pixel sees light, and every estimator reads the map through this model.
         """
         if scan.geometry != self.geometry:
             raise ValueError(f"scan geometry {scan.geometry} does not match the map's {self.geometry}")
         q, u, s, vt = self.svd
         if not len(s):
             raise DarkScanError("measurement map is identically zero: no pixel sees light")
-        e = math.frexp(s[0])[1]  # a pixel's value grows as extent^2: scale by 2^-e, exactly, before squaring
+        e = math.frexp(s[0])[1]
         s, planes = np.ldexp(s, -e), np.ldexp(scan.values, -e).reshape(self.geometry.n_planes, -1)
         c = planes @ q
         b = u.T @ c.ravel()
@@ -321,7 +322,8 @@ def _pixel_functions(basis: ModeBasis, geometry: ScanGeometry, pixels: np.ndarra
     scale = np.concatenate([norms**2, np.repeat(math.sqrt(2.0) * norms[iu] * norms[ju], 2)])
     xx, yy = (c[pixels] for c in geometry.pixel_centers())
     rr, phi = np.hypot(xx, yy)[:, None], np.arctan2(yy, xx)[:, None]
-    env = np.exp(-2.0 * rr * rr) * geometry.pixel_area
+    with np.errstate(over="ignore"):  # from rr ~ 1e154, rr * rr is inf, and exp(-inf) = 0 is the exact envelope
+        env = np.exp(-2.0 * rr * rr) * geometry.pixel_area
     rr = np.where(env > 0, rr, 0.0)  # where the envelope underflows, no rr^s overflow makes 0 * inf
     block = np.hstack([env * rr ** (2 * mags), (env * rr**s * np.exp(1j * phi * m)).view(float)])
     return block, m, column, scale

@@ -199,7 +199,7 @@ LARGEST_EXTENT = {1: 6.7039e153, 3: 2.0111e154}  # on 1x1 and 3x3 grids, to five
 
 @pytest.mark.filterwarnings("error")  # no overflow anywhere in the solve
 @pytest.mark.parametrize("n_pixels", [1, 3])
-@pytest.mark.parametrize("extent", [1e39, 1e60, 1e77, 1e100, 1e150])
+@pytest.mark.parametrize("extent", [1e39, 1e60, 1e77, 1e100, 1e150, "largest"])
 def test_positive_certificate_at_far_extents(n_pixels, extent):
     """||A^T p|| grows as extent^4, and the least-squares model works in units
     of 2^e, e the exponent of s[0], so the certificate's scale neither
