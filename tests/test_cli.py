@@ -987,8 +987,8 @@ def test_cli_far_extent_solves(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("n, extent", [(3, 9e24), (7, 9e18)])
 def test_cli_error_sweep_lights_an_odd_grids_centre(tmp_path, capsys, n, extent):
-    """An odd grid's centre pixel is exactly at 0, so it sees light at any extent: a
-    centre off 0 by rounding, of order eps * extent, went dark here and the map with it."""
+    """An odd grid's centre pixel is exactly at 0, so it sees light at any extent; at these
+    extents a centre off 0 by a rounding residue of order eps * extent is dark, and the map with it."""
     far = ["basis.ell_max=1", f"geometry.n_pixels_per_side={n}", f"geometry.extent={extent!r}"]
     far += ["z_values=[1]", "ranks=[1]", "trials=1"]
     assert main(["error-sweep", "--out", str(tmp_path), *(a for f in far for a in ("--set", f))]) == EXIT_OK
