@@ -194,7 +194,7 @@ def test_positive_extrapolates_the_quartering_tail():
     assert np.all(np.diff(rep.objective_history) <= 0.0)
 
 
-LARGEST_EXTENT = {1: 6.7039e153, 3: 2.0111e154}  # on 1x1 and 3x3 grids, to five digits: past it the pixel area overflows
+LARGEST_EXTENT = {1: 6.7039e153, 3: 2.0111e154}  # per grid side, to five digits: past it the pixel area overflows
 
 
 @pytest.mark.filterwarnings("error")  # no overflow anywhere in the solve
