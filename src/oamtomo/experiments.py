@@ -454,8 +454,7 @@ def run_reconstruct(spec: ExperimentSpec) -> tuple[dict, IntensityScan]:
     if spec.compute_entropy:  # the run's one random draw: the restarts, seeded by the spec's seed
         result["uniqueness_entropy"] = uniqueness_entropy(mmap, scan, replace(spec.solver, seed=spec.seed))
 
-    pred_geom = replace(scan.geometry, planes=spec.predict_planes)
-    pred_map = mmap if pred_geom == scan.geometry else build_measurement_map(basis, pred_geom)
+    pred_map = build_measurement_map(basis, replace(scan.geometry, planes=spec.predict_planes))
     return result, simulate_scan(rep.estimate, pred_map)
 
 

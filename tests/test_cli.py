@@ -42,6 +42,7 @@ from oamtomo.sensor import (
     read_scan_csv,
     simulate_scan,
     write_scan_csv,
+    _factorize,
 )
 from oamtomo.solver import SolverConfig, reconstruct_positive, reconstruct_pseudoinverse
 from oracles import write_state_json
@@ -49,6 +50,8 @@ from oracles import write_state_json
 SMALL_GEOM = {"n_pixels_per_side": 9}
 DARK = ["geometry.n_pixels_per_side=2", "geometry.extent=100"]  # every pixel far outside the beams
 TINY = ["basis.ell_max=1", "geometry.n_pixels_per_side=3"]
+# the one pixel sees light, but the four-plane map's singular values pass the largest double
+OVERFLOW = ["basis.ell_max=1", "geometry.n_pixels_per_side=1", "geometry.extent=6e153", "ranks=[1]", "trials=1"]
 LONG_PATH = "x" * 5000 + "-end"  # past any file-name limit
 LONG_ECHO = "'" + "x" * 12 + "..." + "x" * 9 + "-end'"  # its echo, bounded as every echoed value is
 SIDE_BOUND = "geometry.n_pixels_per_side must be a positive integer of at most 1073741823, got 1"  # 2^30 - 1
@@ -264,6 +267,28 @@ def test_error_sweep_rows_and_determinism(tmp_path):
             assert type(row[name]) is float and float(values[name]) == row[name]
 
 
+def test_error_sweep_rows_do_not_depend_on_the_factor_cache():
+    """A sweep gives the same rows, bit for bit, whether it factors its maps
+    itself or finds them factored by a sweep before it in reverse Z order."""
+    obj = {
+        "kind": "error_sweep",
+        "basis": {"ell_max": 2},
+        "geometry": SMALL_GEOM,
+        "z_values": [1, 2, 3],
+        "ranks": [1, 2],
+        "trials": 2,
+        "seed": 7,
+    }
+    _factorize.cache_clear()
+    cold = run_error_sweep(parse_spec(obj))
+    _factorize.cache_clear()
+    run_error_sweep(parse_spec({**obj, "z_values": [3, 2, 1]}))
+    misses = _factorize.cache_info().misses
+    warm = run_error_sweep(parse_spec(obj))
+    assert _factorize.cache_info().misses == misses  # every map read the factors of the sweep before
+    assert repr(warm) == repr(cold)
+
+
 def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
     """The pool starts all its workers at once, so a sweep asks for no more
     than it has cells; checked with an in-process stand-in for the pool."""
@@ -362,13 +387,13 @@ def test_simulate_then_reconstruct_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "predict_planes, map_builds",
-    [(None, 1), ([0.0, 1.0], 2)],
+    "predict_planes, shared",
+    [(None, True), ([0.0, 1.0], False)],
     ids=["scan planes", "other planes"],
 )
-def test_reconstruct_predictions_reuse_scan_map(tmp_path, monkeypatch, predict_planes, map_builds):
-    """Predictions at the scan's own planes come from the reconstruction's
-    map, not a second build, and equal those of a freshly built map."""
+def test_reconstruct_predictions_reuse_scan_map(tmp_path, monkeypatch, predict_planes, shared):
+    """Predictions at the scan's own planes read the reconstruction map's
+    factors, not a second factorization, and equal those of a freshly built map."""
     sim = {"kind": "simulate", "basis": {"ell_max": 1}, "output": "scan.csv"}
     sim["geometry"] = {**SMALL_GEOM, "planes": [0.0, 1 / 3, 1 / 2, 1.0]}
     run_experiment(parse_spec(sim), out_dir=str(tmp_path))
@@ -384,7 +409,9 @@ def test_reconstruct_predictions_reuse_scan_map(tmp_path, monkeypatch, predict_p
         experiments, "build_measurement_map", lambda *args: builds.append(args) or build(*args)
     )
     result, predicted = run_reconstruct(rec)
-    assert len(builds) == map_builds
+    assert len(builds) == 2
+    maps = [build(*args) for args in builds]
+    assert (maps[0].svd is maps[1].svd) == shared
 
     scan = read_scan_csv(scan_path)
     geom = ScanGeometry(scan.geometry.n_pixels_per_side, scan.geometry.extent, rec.predict_planes)
@@ -641,6 +668,10 @@ def test_cli_bad_set_exits_2(capsys):
             [*DARK, 'branches=["pseudoinverse"]'],
             "geometry.extent 100.0: measurement map is identically zero",
         ),
+        *(
+            (c, [*OVERFLOW, z], "geometry.extent 6e+153: measurement map overflows at this extent")
+            for c, z in (("error-sweep", "z_values=[4]"), ("rank-analysis", "z_max=4"))
+        ),
         ("simulate", [*TINY, "geometry.extent=1e300"], "positive finite pixel area, got 1e+300"),
         ("simulate", [*TINY, "geometry.extent=1e-300"], "positive finite pixel area, got 1e-300"),
         ("error-sweep", ["geometry.planes=[0,1]", "z_values=[1,3]"], "Z = 3 needs more planes than"),
@@ -705,6 +736,8 @@ def test_cli_bad_set_exits_2(capsys):
         "noiseless error sweep of a dark geometry",
         "noiseless entropy sweep of a dark geometry",
         "noiseless pseudoinverse entropy sweep of a dark geometry",
+        "error sweep of a map that overflows",
+        "rank-analysis of a map that overflows",
         "pixel area overflows",
         "pixel area underflows",
         "sweep Z beyond the explicit planes",

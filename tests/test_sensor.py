@@ -23,6 +23,7 @@ from oamtomo.sensor import (
     read_scan_csv,
     simulate_scan,
     write_scan_csv,
+    _factorize,
 )
 from oamtomo.solver import reconstruct_positive
 from oracles import (
@@ -437,9 +438,10 @@ def _frequency_class(basis):
 def test_map_factors_are_orthonormal_and_split_by_class(basis, geom):
     """A = blockdiag(q, ..., q) u diag(s) vt[:len(s)] with orthonormal q and vt,
     each row of vt on the coordinates of one frequency class, and the same
-    arrays, bit for bit, from a map built again."""
+    arrays, bit for bit, from a map factored again."""
     mmap = build_measurement_map(basis, geom)
-    q, u, s, vt = mmap.svd
+    first = mmap.svd
+    q, u, s, vt = first
     small = ((u * s) @ vt[: len(s)]).reshape(geom.n_planes, q.shape[1], -1)
     rebuilt = np.vstack([q @ block for block in small])
     reference = np.vstack([_per_pair_block(basis, geom, zeta) for zeta in geom.planes])
@@ -450,8 +452,10 @@ def test_map_factors_are_orthonormal_and_split_by_class(basis, geom):
     cls = _frequency_class(basis)
     for row in vt:
         assert len(set(cls[row != 0])) == 1
+    _factorize.cache_clear()  # else the map built again reads the same cached arrays
     again = build_measurement_map(basis, geom).svd
-    assert all(np.array_equal(x, y) for x, y in zip(mmap.svd, again))
+    assert again is not first
+    assert all(np.array_equal(x, y) for x, y in zip(first, again))
 
 
 def test_map_is_built_from_basis_and_geometry_only():
@@ -470,6 +474,7 @@ def test_camera_map_simulation_and_solve_never_form_a():
     basis = ModeBasis.symmetric_span(4)
     geom = ScanGeometry(101, 3.0, default_planes(4))
     rho = random_state(basis, 2, seed=3)
+    _factorize.cache_clear()  # the factorization is measured too, whichever test built this map before
     tracemalloc.start()
     try:
         mmap = build_measurement_map(basis, geom)
@@ -478,6 +483,48 @@ def test_camera_map_simulation_and_solve_never_form_a():
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * geom.n_planes * geom.n_pixels * basis.dim**2 * 8
+
+
+def test_equal_maps_share_one_factorization():
+    """Maps built apart from an equal basis and geometry read one factor tuple,
+    an extent of 3 and of 3.0 alike; another grid, plane list or basis has its own."""
+    _factorize.cache_clear()
+    planes = default_planes(2)
+    mmap = build_measurement_map(ModeBasis.symmetric_span(2), ScanGeometry(7, 3, planes))
+    assert build_measurement_map(ModeBasis((-2, -1, 0, 1, 2)), ScanGeometry(7, 3.0, planes)).svd is mmap.svd
+    for basis, geom in [
+        (ModeBasis.symmetric_span(2), ScanGeometry(9, 3.0, planes)),
+        (ModeBasis.symmetric_span(2), ScanGeometry(7, 3.0, default_planes(3))),
+        (ModeBasis.symmetric_span(2), ScanGeometry(7, 3.0, (0.0, 1.0))),
+        (ModeBasis.nonnegative_span(5), ScanGeometry(7, 3.0, planes)),
+    ]:
+        assert build_measurement_map(basis, geom).svd is not mmap.svd
+    assert _factorize.cache_info().misses == 5
+
+
+def test_fifth_distinct_map_evicts_the_first():
+    """The process keeps the factors of four maps: a fifth evicts the least
+    recently read, which is then factored again to the same bits."""
+    _factorize.cache_clear()
+    basis = ModeBasis.symmetric_span(1)
+    maps = [build_measurement_map(basis, ScanGeometry(5, 3.0, default_planes(z))) for z in range(1, 6)]
+    factors = [mmap.svd for mmap in maps[:4]]
+    assert all(mmap.svd is f for mmap, f in zip(maps, factors))  # four maps fit
+    maps[4].svd
+    again = maps[0].svd
+    assert again is not factors[0]
+    assert all(np.array_equal(x, y) for x, y in zip(again, factors[0]))
+    assert maps[3].svd is factors[3]
+
+
+def test_cached_factors_stay_read_only():
+    """Every caller reads the same arrays, so none can write into them."""
+    mmap = build_measurement_map(ModeBasis.symmetric_span(1), ScanGeometry(5, 3.0, default_planes(2)))
+    mmap.svd  # from here the cache holds the factors
+    for array in build_measurement_map(mmap.basis, mmap.geometry).svd:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
 
 
 # ------------------------------------------------------------------ simulate
@@ -563,6 +610,23 @@ def test_simulate_draws_at_the_largest_budget():
     mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(1)))
     rho = random_state(basis, 1, seed=0)
     assert simulate_scan(rho, mmap, "poisson", photon_budget=MAX_PHOTON_BUDGET).values.any()
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warns on the way
+def test_map_whose_singular_values_overflow_is_refused_as_such():
+    """On a 1x1 grid the one pixel sees light at every extent the geometry
+    accepts. With l_max 1 and four planes, the map's largest singular value is
+    1.797e308 at 5.94e153, where the solve certifies, and passes the largest
+    double before 6e153: the map is refused naming the overflow, not as dark."""
+    basis = ModeBasis.symmetric_span(1)
+    rho = random_state(basis, 1, seed=0)
+    mmap = build_measurement_map(basis, ScanGeometry(1, 5.94e153, default_planes(4)))
+    assert 1.79e308 < mmap.svd.s[0] < math.inf
+    assert reconstruct_positive(mmap, simulate_scan(rho, mmap)).metadata["stop_reason"] == "certified"
+    mmap = build_measurement_map(basis, ScanGeometry(1, 6e153, default_planes(4)))
+    for read in (lambda: mmap.svd, lambda: independent_detections(mmap), lambda: simulate_scan(rho, mmap)):
+        with pytest.raises(DarkScanError, match="measurement map overflows at this extent"):
+            read()
 
 
 def test_dark_scan_error_names_both_dark_cases():

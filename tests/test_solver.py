@@ -23,6 +23,7 @@ from oamtomo.sensor import (
     default_planes,
     independent_detections,
     simulate_scan,
+    _factorize,
 )
 from oamtomo.solver import (
     ReconstructionReport,
@@ -506,15 +507,17 @@ def test_uniqueness_entropy_validation():
 
 
 def test_cached_factorization_changes_nothing():
-    """A map's factorization, once cached, gives the solves of a fresh map."""
+    """A map's factorization, once cached, gives the solves of a map factored afresh."""
     basis = ModeBasis.symmetric_span(4)
     geom = ScanGeometry(19, 3.0, default_planes(2))
     warm = build_measurement_map(basis, geom)
+    factors = warm.svd  # factors the map before any solve
     scan = simulate_scan(random_state(basis, 2, seed=31), warm)
-    independent_detections(warm)  # factors the map before any solve
-    assert "svd" in vars(warm)
     cached = reconstruct_positive(warm, scan)
-    fresh = reconstruct_positive(build_measurement_map(basis, geom), scan)
+    _factorize.cache_clear()
+    fresh_map = build_measurement_map(basis, geom)
+    fresh = reconstruct_positive(fresh_map, scan)
+    assert fresh_map.svd is not factors
     np.testing.assert_array_equal(cached.estimate.entries, fresh.estimate.entries)
     assert cached.iterations_used == fresh.iterations_used
     assert cached.objective_history == fresh.objective_history
