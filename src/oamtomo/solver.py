@@ -130,15 +130,10 @@ def _certificate(S: np.ndarray, X: np.ndarray, scale: float) -> tuple[float, flo
     return float(w[0]) / scale, comp / scale, v[:, 0]
 
 
-def _singular_values(L: np.ndarray) -> np.ndarray:
-    """Singular values of L in descending order, from its k x k Gram matrix."""
-    return np.sqrt(np.clip(np.linalg.eigvalsh(L.conj().T @ L)[::-1], 0.0, None))
-
-
-def _truncate(L: np.ndarray, j: int) -> np.ndarray:
-    """The best rank-j factor of L: its truncated SVD u[:, :j] sv[:j]."""
+def _spectrum(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L's singular values sv, descending, and u * sv from one thin SVD: its first j columns are L's best rank j."""
     u, sv, _ = np.linalg.svd(L, full_matrices=False)
-    return u[:, :j] * sv[:j]
+    return sv, u * sv
 
 
 def reconstruct_positive(
@@ -251,15 +246,13 @@ def reconstruct_positive(
         steps += 1
         k = L.shape[1]
         if len(sv) != k:  # the width changed: halvings count from here
-            sv, halved = _singular_values(L), np.zeros(k, dtype=bool)
+            (sv, lead), halved = _spectrum(L), np.zeros(k, dtype=bool)
         step = damped_step(L, cur, mu)
         rank_gain = 0.0
         if eig < -tol and k < d:
-            D = np.outer(v, v.conj())
-            slope = float(np.vdot(D, S).real)
-            rd = Wr @ D.view(float).ravel()
-            t = -slope / float(rd @ rd)
-            rank_gain = -t * slope - 0.5 * t * t * float(rd @ rd)
+            rd = Wr @ np.outer(v, v.conj()).view(float).ravel()
+            t = -eig * scale / float(rd @ rd)  # the exact line search: the slope v^dag S v is lambda_min(S)
+            rank_gain = -0.5 * t * eig * scale
         if rank_gain > (step[3] if step else 0.0):
             L = np.column_stack([L, math.sqrt(t) * v])
             cur, mu = state(L), None
@@ -268,12 +261,12 @@ def reconstruct_positive(
         else:
             D = step[0] - L
             L, cur, mu, _ = step
-            prev, sv = sv, _singular_values(L)
+            prev, (sv, lead) = sv, _spectrum(L)
             now = (HALVING[0] * prev < sv) & (sv < HALVING[1] * prev)
             twice, halved = halved & now, now
             j = max(1, k - int(np.cumprod(twice[::-1]).sum()))  # the trailing columns from j on halved twice
             if j < k:
-                cut = _truncate(L, j)
+                cut = lead[:, :j]
                 cut_state = state(cut)
                 if cut_state[2] <= cur[2]:
                     L, cur, mu = cut, cut_state, None
@@ -283,9 +276,9 @@ def reconstruct_positive(
                 ext_state = state(L + D)
                 if ext_state[2] < cur[2]:
                     L, cur, extrapolations = L + D, ext_state, extrapolations + 1
-                    sv = _singular_values(L)
+                    sv, lead = _spectrum(L)
             if k > 1 and k not in failed_widths and cur[2] - f_res > SLOW_GAIN * (f - f_res):
-                trial = _truncate(L, k - 1)
+                trial = lead[:, : k - 1]
                 trial_state, trial_mu = state(trial), None
                 for _ in range(min(TRIAL_STEPS, cfg.max_iterations - steps)):
                     steps += 1
@@ -306,8 +299,7 @@ def reconstruct_positive(
         reason = "max_iterations"
     else:
         reason = "stalled"
-    p = np.ldexp(scan.values, -e)  # in the model's units, so ||p||^2 cannot overflow
-    power = float(p @ p)
+    power = float(b @ b) + 2.0 * f_res  # ||p||^2 in the model's units: p = q u b + two residuals, all orthogonal
     est, meta = _finalize(mmap, X)
     meta.update(
         stop_reason=reason,

@@ -29,6 +29,7 @@ from oamtomo.solver import (
     ReconstructionReport,
     SolverConfig,
     _jacobian,
+    _spectrum,
     multistart_estimates,
     reconstruct_positive,
     reconstruct_pseudoinverse,
@@ -193,6 +194,35 @@ def test_positive_extrapolates_the_quartering_tail():
     assert rep.metadata["tail_extrapolations"] >= 1
     assert rep.iterations_used <= 14
     assert np.all(np.diff(rep.objective_history) <= 0.0)
+
+
+def random_factor(rng, d, sv):
+    """A complex d x len(sv) factor u diag(sv) w^dag with random orthonormal u and unitary w."""
+    u = np.linalg.qr(rng.normal(size=(d, len(sv))) + 1j * rng.normal(size=(d, len(sv))))[0]
+    w = np.linalg.qr(rng.normal(size=(len(sv), len(sv))) + 1j * rng.normal(size=(len(sv), len(sv))))[0]
+    return (u * sv) @ w.conj().T
+
+
+def test_spectrum_reads_a_trailing_singular_value_to_1e9():
+    """The singular values of L come from one thin SVD of L, not from the eigenvalues of
+    L^dag L, which square its condition number: a trailing value of 1e-9 of the largest reads
+    to 1e-6, where the Gram matrix's eigenvalues give 0, or anything up to about 1.6e-8."""
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        sv, _ = _spectrum(random_factor(rng, 9, [1.0, 1e-9]))
+        assert abs(sv[0] - 1.0) <= 1e-12
+        assert abs(sv[1] - 1e-9) <= 1e-6 * 1e-9
+
+
+def test_spectrum_leading_columns_are_the_truncated_svd():
+    """The halving drop and the width trial cut L to the leading j columns of u * sv: bit for
+    bit the best rank-j factor u[:, :j] sv[:j] of a fresh SVD of the same L."""
+    L = random_factor(np.random.default_rng(1), 9, [1.0, 0.5, 1e-3, 1e-6, 1e-9])
+    sv, lead = _spectrum(L)
+    u, s, _ = np.linalg.svd(L, full_matrices=False)
+    assert np.array_equal(sv, s)
+    for j in range(1, 6):
+        assert np.array_equal(lead[:, :j], u[:, :j] * s[:j])
 
 
 LARGEST_EXTENT = {1: 6.7039e153, 3: 2.0111e154}  # per grid side, to five digits: past it the pixel area overflows
