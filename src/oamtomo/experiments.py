@@ -303,6 +303,8 @@ def parse_spec(obj: dict, kind: str | None = None, overrides: Sequence[str] = ()
         problems.append(f"ranks must include one at most d = {d_max}, got {reprlib.repr(list(spec.ranks))}")
     if spec.state_rank > d_max:
         problems.append(f"state.rank must be at most d = {d_max}, got {reprlib.repr(spec.state_rank)}")
+    if spec.kind == "entropy_sweep" and spec.state_kind == "random" and d_max < 2:
+        problems.append(f"an entropy sweep draws its random states at rank 2, which needs d >= 2, got d = {d_max}")
     if spec.kind == "error_sweep" and spec.state_kind != "random":
         problems.append(f"an error sweep's ranks draw random states; state.kind {spec.state_kind!r} is not 'random'")
     if spec.state_kind == "test" and not (symmetric and spec.ell_max >= 3):
@@ -519,8 +521,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = ".") -> str:
             pred_path = os.path.join(out_dir, "predicted_scans.csv")
             write_scan_csv(pred_path, predicted)
             result["predicted_scan_files"] = [pred_path]
+            text = json.dumps(result, indent=2, allow_nan=False)  # a NaN or an infinity is a fault, never a report
             with open(path, "w") as fh:
-                json.dump(result, fh, indent=2)
+                fh.write(text)
             return f"report written to {path}"
         if spec.kind == "simulate":
             write_scan_csv(path, run_simulate(spec))

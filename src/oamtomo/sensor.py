@@ -28,6 +28,7 @@ import functools
 import io
 import math
 import reprlib
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,7 +68,8 @@ class ScanFormatError(ValueError):
 
 class DarkScanError(ValueError):
     """Raised where a scan receives no light: there is nothing to solve or to draw counts from;
-    also where its map's singular values pass the largest double, near the largest extent."""
+    also where its map's singular values pass the largest double, near the largest extent, and
+    where a scan's values in its map's units are too large to square, far outside the map's scale."""
 
 
 def default_planes(n_planes: int) -> tuple[float, ...]:
@@ -190,7 +192,8 @@ class MeasurementMap:
         cancellation, however small the residual is. The model is in units of 2^e,
         e = frexp(s[0])[1]: s and p are scaled by 2^-e, exactly, before squaring.
         Raises DarkScanError when the map keeps no singular value (s is empty): no
-        pixel sees light, and every estimator reads the map through this model.
+        pixel sees light, and every estimator reads the map through this model; and
+        when ||p||^2 in these units could overflow, a scan far outside the map's scale.
         """
         if scan.geometry != self.geometry:
             raise ValueError(f"scan geometry {scan.geometry} does not match the map's {self.geometry}")
@@ -198,7 +201,10 @@ class MeasurementMap:
         if not len(s):
             raise DarkScanError("measurement map is identically zero: no pixel sees light")
         e = math.frexp(s[0])[1]
-        s, planes = np.ldexp(s, -e), np.ldexp(scan.values, -e).reshape(self.geometry.n_planes, -1)
+        with np.errstate(over="ignore"):  # a value past the largest double reads inf, and is refused below
+            s, planes = np.ldexp(s, -e), np.ldexp(scan.values, -e).reshape(self.geometry.n_planes, -1)
+        if planes.max() > math.sqrt(sys.float_info.max / planes.size):  # past it ||p||^2 could overflow
+            raise DarkScanError("the scan's values overflow the model at this extent")
         c = planes @ q
         b = u.T @ c.ravel()
         inside = c.ravel() - u @ b

@@ -638,6 +638,10 @@ def test_cli_bad_set_exits_2(capsys):
         ("entropy-sweep", ["state.kind=test", "basis.ell_max=2"], "state.kind 'test'"),
         ("simulate", ["noise.kind=poisson", "noise.photon_budget=lots"], "noise.photon_budget"),
         ("simulate", ["state.rank=99"], "state.rank"),
+        *(
+            ("entropy-sweep", [*one_mode, "z_values=[1]", "n_states=1"], "draws its random states at rank 2")
+            for one_mode in (["basis.ell_max=0"], ["basis.kind=nonnegative", "basis.d=1"])
+        ),
         ("error-sweep", ["branches=3"], "branches must be a non-empty list"),
         ("simulate", ["geometry.planes=[1,1]"], "geometry.planes must be"),
         ("simulate", ["predict_planes=[0,0]"], "predict_planes must be"),
@@ -710,6 +714,8 @@ def test_cli_bad_set_exits_2(capsys):
         "test state without its modes",
         "photon budget not a number",
         "state rank above d",
+        "entropy sweep of random states on one symmetric mode",
+        "entropy sweep of random states on one nonnegative mode",
         "branches not a list",
         "repeated plane",
         "repeated prediction plane",
@@ -1048,6 +1054,49 @@ def test_cli_reconstruct_at_the_extent_bound_reports_finite_numbers(tmp_path, ca
 
         report = json.loads((out / "report.json").read_text(), parse_constant=not_finite)
         assert report["metadata"]["stop_reason"] == "certified"
+
+
+@pytest.mark.filterwarnings("error")  # no overflow anywhere in the run
+def test_cli_reconstruct_refuses_a_scan_too_large_for_its_maps_units(tmp_path, capsys):
+    """A scan read at an extent far below its own is huge in its map's units of 2^e. From
+    1.5764e-77 on this 3x3 grid (to five digits) ||p||^2 could pass the largest double there,
+    and the scan is a data error that names the extent and the file and writes no report; at
+    1.5765e-77, a noiseless and a noisy scan give reports of finite numbers."""
+    grid = ["basis.ell_max=1", "geometry.n_pixels_per_side=3"]
+    for noise in ("none", "poisson"):
+        sim = [*grid, f"noise.kind={noise}", "noise.photon_budget=1e6"]
+        assert main(["simulate", "--out", str(tmp_path / noise), *(a for f in sim for a in ("--set", f))]) == EXIT_OK
+    capsys.readouterr()
+
+    def reconstruct(noise, extent):
+        out = tmp_path / noise / repr(extent)
+        rec = [*grid, f'scan_file="{tmp_path / noise / "scan.csv"}"', f"geometry.extent={extent!r}"]
+        return main(["reconstruct", "--out", str(out), *(a for f in rec for a in ("--set", f))]), out / "report.json"
+
+    code, report = reconstruct("none", 1.5764e-77)
+    assert code == EXIT_DATA and not report.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("extent 1.5764e-77 on the grid of ") and "overflow the model at this extent" in err
+
+    def not_finite(token):
+        raise AssertionError(f"report.json holds {token}")
+
+    for noise in ("none", "poisson"):
+        code, report = reconstruct(noise, 1.5765e-77)
+        assert code == EXIT_OK
+        capsys.readouterr()
+        assert json.loads(report.read_text(), parse_constant=not_finite)["metadata"]["stop_reason"] == "certified"
+
+
+def test_cli_entropy_sweep_of_a_file_state_on_one_mode(tmp_path, capsys):
+    """Only random states are drawn at rank 2: a sweep of a state file on a one-mode basis runs."""
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"ells": [0], "re": [[1.0]], "im": [[0.0]]}))
+    args = ["entropy-sweep", "--out", str(tmp_path), "--set", "basis.ell_max=0", "--set", "z_values=[1]"]
+    args += ["--set", "n_states=1", "--set", "state.kind=file", "--set", f'state.path="{path}"']
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "entropy_sweep.csv").is_file()
 
 
 def test_cli_validate_state_file(tmp_path, capsys):
