@@ -54,7 +54,7 @@ DEGENERATE_TRACE = 1e-14
 RANK_TOL = 0.05  # eigenvalues above this fraction of the largest set the initial factor width
 LM_DAMPING = 1e-10  # initial damping, relative to ||J||_F^2, the trace of the Gram matrix
 LM_TRIALS = 40  # damping increases tried before a refinement step counts as stalled
-LM_RAISE = 4.0  # damping factor after a rejected step
+LM_RAISE = 4.0  # damping factor after a rejected step, and after a step the line search shortened
 LM_MIN_SHRINK = 0.1  # smallest damping factor after an accepted step
 SLOW_GAIN = 0.25  # a step keeping more of the excess objective than this is slow
 TRIAL_STEPS = 5  # damped steps a narrower factor gets to beat the current objective
@@ -136,6 +136,48 @@ def _spectrum(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sv, u * sv
 
 
+def _step_length(a1: float, a2: float, a3: float, a4: float) -> float:
+    """The t in (0, 1] that minimizes the quartic a1 t + a2 t^2 + a3 t^3 + a4 t^4.
+
+    The slope is a cubic, monotone between the roots of the quadratic second
+    derivative. Each such piece on which the slope rises through zero holds one
+    local minimum, found by Newton's method kept inside the piece's bracket.
+    The pick is the lowest of those minima, the piece ends and t = 1.
+    """
+    value = lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t
+    slope = lambda t: ((4.0 * a4 * t + 3.0 * a3) * t + 2.0 * a2) * t + a1
+    curve = lambda t: (12.0 * a4 * t + 6.0 * a3) * t + 2.0 * a2
+    c2, c1, c0 = 12.0 * a4, 6.0 * a3, 2.0 * a2
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if c2 == 0.0:
+        bends = [-c0 / c1] if c1 != 0.0 else []
+    elif disc > 0.0:
+        u = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))  # both roots without cancellation
+        bends = [u / c2, c0 / u]
+    else:
+        bends = []
+    ends = [0.0, *sorted(b for b in bends if 0.0 < b < 1.0), 1.0]
+    picks = ends[1:]
+    for lo, hi in zip(ends, ends[1:]):
+        if not slope(lo) < 0.0 < slope(hi):
+            continue
+        t = 0.5 * (lo + hi)
+        for _ in range(100):
+            g = slope(t)
+            if g == 0.0:
+                break
+            lo, hi = (t, hi) if g < 0.0 else (lo, t)
+            h = curve(t)
+            nt = t - g / h if h > 0.0 else lo
+            if not lo < nt < hi:
+                nt = 0.5 * (lo + hi)
+            if nt == t:
+                break
+            t = nt
+        picks.append(t)
+    return min(picks, key=value)
+
+
 def reconstruct_positive(
     mmap: MeasurementMap,
     scan: IntensityScan,
@@ -148,11 +190,18 @@ def reconstruct_positive(
     the PSD projection of ``initial``, or of A^+ p when none is given,
     keeping the eigenvalues above RANK_TOL of the largest. Each step solves
     (J^T J + mu) delta = -J^T r for the update D of L (:func:`_jacobian`)
-    through the smaller Gram matrix, one dense solve per damping trial (a
-    singular system rejects the trial). It is accepted on the exact change
-    of 0.5 ||r||^2, -dr.(r + dr/2) with dr = J delta + W coords(D D^dag),
-    so noisy data certify at the default tolerance: there a difference of
-    objective values cancels below the certificate's resolution.
+    through the smaller Gram matrix: one dense solve per step, and one more
+    per retry with mu raised by LM_RAISE when the system is singular or the
+    step decreases nothing. Along D the residual is exactly quadratic,
+    r(L + tD) = r + t J delta + t^2 W coords(D D^dag), so the objective is a
+    quartic in t, and the step moves L by the t in (0, 1] that minimizes it
+    (:func:`_step_length`; Nocedal & Wright 2006, sec. 3.5). It is accepted
+    on the exact change of 0.5 ||r||^2, -dr.(r + dr/2) with
+    dr = t J delta + t^2 W coords(D D^dag), so noisy data certify at the
+    default tolerance: there a difference of objective values cancels below
+    the certificate's resolution. A step shortened to t < 1 raises mu by
+    LM_RAISE; a full one sets mu by the ratio of that change to the change
+    the linear model predicts.
 
     The width of L adapts. When lambda_min(S) < 0, a new column along that
     eigenvector (the Burer-Monteiro rank update, with an exact line search)
@@ -170,8 +219,12 @@ def reconstruct_positive(
     moves on by D once more, the rest of the geometric series D/2 + D/4 + ...,
     if that lowers the objective (Decker, Keller & Kelley 1983; Griewank
     1985). Slower columns go on trial: when a step gains less than SLOW_GAIN
-    the weakest column is dropped, and the trial is kept if a few steps from
-    the narrower factor end below the current objective.
+    and the weakest singular value of L fell by a larger fraction than L
+    moved, ||D|| / ||L||, the weakest column is dropped, and the trial is kept
+    if a few steps from the narrower factor end below the current objective.
+    A slow step that leaves the weakest column in place moves along the
+    minimizer set or crawls at the rounding floor, and a narrower factor
+    cures neither.
 
     ``converged`` is the first-order certificate of the module docstring with
     tol = rel_tolerance: X is a minimizer to that tolerance, not necessarily
@@ -204,23 +257,27 @@ def reconstruct_positive(
         J = _jacobian(M, L)
         wide = J.shape[0] <= J.shape[1]  # solve through the smaller Gram matrix
         gram, rhs = (J @ J.T, r) if wide else (J.T @ J, -(J.T @ r))
+        diag = gram.diagonal().copy()
         if mu is None:
-            mu = LM_DAMPING * float(np.trace(gram))
+            mu = LM_DAMPING * float(diag.sum())
         for _ in range(LM_TRIALS):
+            np.fill_diagonal(gram, diag + mu)
             try:
-                y = np.linalg.solve(gram + mu * np.eye(len(gram)), rhs)
+                y = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
                 mu *= LM_RAISE
                 continue
             delta = -(J.T @ y) if wide else y
             D = (delta[: len(delta) // 2] + 1j * delta[len(delta) // 2 :]).reshape(L.shape)
             Jd = J @ delta
-            dr = Jd + Wr @ (D @ D.conj().T).view(float).ravel()
-            predicted = -float(Jd @ (r + 0.5 * Jd))  # decrease of 0.5 ||r||^2 in the model
-            decrease = -float(dr @ (r + 0.5 * dr))  # and its exact decrease, no cancellation
+            q = Wr @ (D @ D.conj().T).view(float).ravel()  # r(L + tD) = r + t Jd + t^2 q
+            t = _step_length(float(r @ Jd), 0.5 * float(Jd @ Jd) + float(r @ q), float(Jd @ q), 0.5 * float(q @ q))
+            dr = t * Jd + t * t * q
+            predicted = -float(Jd @ (r + 0.5 * Jd))  # decrease of 0.5 ||r||^2 in the model, at t = 1
+            decrease = -float(dr @ (r + 0.5 * dr))  # and the exact decrease at t, no cancellation
             if predicted > 0 and decrease > 0:
-                mu *= max(LM_MIN_SHRINK, 1.0 - (2.0 * decrease / predicted - 1.0) ** 3)
-                return L + D, state(L + D), mu, decrease
+                mu *= LM_RAISE if t < 1.0 else max(LM_MIN_SHRINK, 1.0 - (2.0 * decrease / predicted - 1.0) ** 3)
+                return L + t * D, state(L + t * D), mu, decrease
             mu *= LM_RAISE
         return None
 
@@ -277,7 +334,8 @@ def reconstruct_positive(
                 if ext_state[2] < cur[2]:
                     L, cur, extrapolations = L + D, ext_state, extrapolations + 1
                     sv, lead = _spectrum(L)
-            if k > 1 and k not in failed_widths and cur[2] - f_res > SLOW_GAIN * (f - f_res):
+            shrinking = (prev[-1] - sv[-1]) * np.linalg.norm(prev) > size * prev[-1]
+            if k > 1 and shrinking and k not in failed_widths and cur[2] - f_res > SLOW_GAIN * (f - f_res):
                 trial = lead[:, : k - 1]
                 trial_state, trial_mu = state(trial), None
                 for _ in range(min(TRIAL_STEPS, cfg.max_iterations - steps)):
