@@ -54,9 +54,9 @@ DEGENERATE_TRACE = 1e-14
 RANK_TOL = 0.05  # eigenvalues above this fraction of the largest set the initial factor width
 LM_DAMPING = 1e-10  # initial damping, relative to ||J||_F^2, the trace of the Gram matrix
 LM_TRIALS = 40  # damping increases tried before a refinement step counts as stalled
-LM_RAISE = 4.0  # damping factor after a rejected step, and after a step the line search shortened
+LM_RAISE = 4.0  # damping factor after a step whose full length would not decrease the objective
 LM_MIN_SHRINK = 0.1  # smallest damping factor after an accepted step
-SLOW_GAIN = 0.25  # a step keeping more of the excess objective than this is slow
+SLOW_GAIN = 0.3  # a step keeping more of the excess objective than this is slow; a quartering tail step keeps 1/4
 TRIAL_STEPS = 5  # damped steps a narrower factor gets to beat the current objective
 # A Gauss-Newton step at a unique low-rank minimizer sends each spurious column
 # E of L to E/2, so a singular value of L that lands in this band of its value
@@ -146,8 +146,8 @@ def _step_length(a1: float, a2: float, a3: float, a4: float) -> float:
     """
     value = lambda t: (((a4 * t + a3) * t + a2) * t + a1) * t
     slope = lambda t: ((4.0 * a4 * t + 3.0 * a3) * t + 2.0 * a2) * t + a1
-    curve = lambda t: (12.0 * a4 * t + 6.0 * a3) * t + 2.0 * a2
     c2, c1, c0 = 12.0 * a4, 6.0 * a3, 2.0 * a2
+    curve = lambda t: (c2 * t + c1) * t + c0
     disc = c1 * c1 - 4.0 * c2 * c0
     if c2 == 0.0:
         bends = [-c0 / c1] if c1 != 0.0 else []
@@ -199,9 +199,10 @@ def reconstruct_positive(
     on the exact change of 0.5 ||r||^2, -dr.(r + dr/2) with
     dr = t J delta + t^2 W coords(D D^dag), so noisy data certify at the
     default tolerance: there a difference of objective values cancels below
-    the certificate's resolution. A step shortened to t < 1 raises mu by
-    LM_RAISE; a full one sets mu by the ratio of that change to the change
-    the linear model predicts.
+    the certificate's resolution. mu follows the full step, t = 1, as if
+    the step were taken whole: it is raised by LM_RAISE when the full step
+    would not decrease the objective, and otherwise set by the ratio of its
+    exact decrease to the decrease the linear model predicts.
 
     The width of L adapts. When lambda_min(S) < 0, a new column along that
     eigenvector (the Burer-Monteiro rank update, with an exact line search)
@@ -218,13 +219,13 @@ def reconstruct_positive(
     of the previous accepted step's size and no singular value is halving, L
     moves on by D once more, the rest of the geometric series D/2 + D/4 + ...,
     if that lowers the objective (Decker, Keller & Kelley 1983; Griewank
-    1985). Slower columns go on trial: when a step gains less than SLOW_GAIN
-    and the weakest singular value of L fell by a larger fraction than L
-    moved, ||D|| / ||L||, the weakest column is dropped, and the trial is kept
-    if a few steps from the narrower factor end below the current objective.
-    A slow step that leaves the weakest column in place moves along the
-    minimizer set or crawls at the rounding floor, and a narrower factor
-    cures neither.
+    1985). Slower columns go on trial: when a step keeps more than SLOW_GAIN
+    of the excess objective f - f_res, the weakest column is dropped, and the
+    trial is kept if a few steps from the narrower factor end below the
+    current objective. A slow step close to the certificate starts no trial:
+    the certificate's gap goes as the root of the excess, and when the
+    step's rate would bring it to tol within TRIAL_STEPS + 1 steps, the
+    current width certifies sooner than a trial could pay off.
 
     ``converged`` is the first-order certificate of the module docstring with
     tol = rel_tolerance: X is a minimizer to that tolerance, not necessarily
@@ -271,12 +272,14 @@ def reconstruct_positive(
             D = (delta[: len(delta) // 2] + 1j * delta[len(delta) // 2 :]).reshape(L.shape)
             Jd = J @ delta
             q = Wr @ (D @ D.conj().T).view(float).ravel()  # r(L + tD) = r + t Jd + t^2 q
-            t = _step_length(float(r @ Jd), 0.5 * float(Jd @ Jd) + float(r @ q), float(Jd @ q), 0.5 * float(q @ q))
+            a = (float(r @ Jd), 0.5 * float(Jd @ Jd) + float(r @ q), float(Jd @ q), 0.5 * float(q @ q))
+            t = _step_length(*a)
             dr = t * Jd + t * t * q
             predicted = -float(Jd @ (r + 0.5 * Jd))  # decrease of 0.5 ||r||^2 in the model, at t = 1
             decrease = -float(dr @ (r + 0.5 * dr))  # and the exact decrease at t, no cancellation
             if predicted > 0 and decrease > 0:
-                mu *= LM_RAISE if t < 1.0 else max(LM_MIN_SHRINK, 1.0 - (2.0 * decrease / predicted - 1.0) ** 3)
+                whole = -sum(a)  # the exact decrease at t = 1 sets the damping
+                mu *= max(LM_MIN_SHRINK, 1.0 - (2.0 * whole / predicted - 1.0) ** 3) if whole > 0 else LM_RAISE
                 return L + t * D, state(L + t * D), mu, decrease
             mu *= LM_RAISE
         return None
@@ -334,8 +337,11 @@ def reconstruct_positive(
                 if ext_state[2] < cur[2]:
                     L, cur, extrapolations = L + D, ext_state, extrapolations + 1
                     sv, lead = _spectrum(L)
-            shrinking = (prev[-1] - sv[-1]) * np.linalg.norm(prev) > size * prev[-1]
-            if k > 1 and shrinking and k not in failed_widths and cur[2] - f_res > SLOW_GAIN * (f - f_res):
+            excess, kept = f - f_res, cur[2] - f_res
+            slow = excess > 0 and kept > SLOW_GAIN * excess
+            # the certificate's gap after this step and a trial's at this rate: it goes as the root of the excess
+            gap = max(comp, -eig) * (kept / excess) ** ((TRIAL_STEPS + 1) / 2) if slow else 0.0
+            if gap > tol and k > 1 and k not in failed_widths:
                 trial = lead[:, : k - 1]
                 trial_state, trial_mu = state(trial), None
                 for _ in range(min(TRIAL_STEPS, cfg.max_iterations - steps)):
