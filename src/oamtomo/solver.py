@@ -280,7 +280,8 @@ def reconstruct_positive(
             if predicted > 0 and decrease > 0:
                 whole = -sum(a)  # the exact decrease at t = 1 sets the damping
                 mu *= max(LM_MIN_SHRINK, 1.0 - (2.0 * whole / predicted - 1.0) ** 3) if whole > 0 else LM_RAISE
-                return L + t * D, state(L + t * D), mu, decrease
+                L_next = L + t * D
+                return L_next, state(L_next), mu, decrease
             mu *= LM_RAISE
         return None
 
