@@ -151,9 +151,9 @@ class MeasurementMap:
     rows ordered plane-major with row-major pixels. The map keeps A only as
     its factors, :attr:`svd`, which :meth:`apply`, :meth:`least_squares` and
     :func:`independent_detections` read. They are taken on first use and
-    shared by every map of an equal basis and geometry in the process, which
-    keeps the four most recently used: about 2.8 MB for a 101x101, four-plane
-    camera map at l_max 4. A fresh process factors each distinct map once.
+    shared by every map of an equal basis and geometry in the process, which keeps the four most
+    recently used: 2.8 MB for a 101x101, four-plane camera map at l_max 4, 2.7 MB of it q, which
+    every map on one grid shares. A fresh process factors each distinct map once.
     """
 
     basis: ModeBasis
@@ -286,39 +286,29 @@ def _pixel_functions(basis: ModeBasis, geometry: ScanGeometry, pixels: np.ndarra
     return block, m, column, scale
 
 
-@functools.lru_cache(maxsize=4)  # 4: a sweep's maps, one per Z (three by default), or a reconstruct's two
-def _factorize(basis: ModeBasis, geometry: ScanGeometry) -> MapFactors:
-    """Read-only factors of the map of ``basis`` over ``geometry``, one frequency class at a time.
+@functools.lru_cache(maxsize=1)  # 1: a run's maps, one per Z or a reconstruct's two, share one grid
+def _waist_factors(basis: ModeBasis, n: int, extent: float) -> tuple[np.ndarray, list]:
+    """q, and each frequency class's coordinates and T_c with its first column of q: the factors of
+    the map up to its planes, so every plane list on the n x n grid of ``extent`` shares them.
 
-    They depend on nothing else, so equal maps share them. A quarter turn of
-    the grid turns a function of frequency m by i^m, so the distinct
-    functions are evaluated at one pixel per orbit. Over the
-    orbits each class's rows of _ORBIT_ROWS see only its functions F_c =
-    Q_c R_c (thin QR), q holds each Q_c put back on the orbit pixels, and
-    T_c, a gather of R_c's columns scaled by N_a^2 or sqrt(2) N_a N_b, is
-    the class's Gouy-free block Q_c T_c. The SVD of the stack
-    [T_c R(zeta_j)]_j gives the class's share of u, s and vt. The shares
-    are merged by descending s and cut at SVD_RCOND * s[0] (:class:`MapFactors`).
+    A quarter turn of the grid turns a function of frequency m by i^m, so the distinct functions
+    are evaluated at one pixel per orbit. Over the orbits each class's rows of _ORBIT_ROWS see only
+    its functions F_c = Q_c R_c (thin QR), q holds each Q_c put back on the orbit pixels, and T_c, a
+    gather of R_c's columns scaled by N_a^2 or sqrt(2) N_a N_b, is its Gouy-free block Q_c T_c.
     """
-    n, d = geometry.n_pixels_per_side, basis.dim
     grid = np.arange(n * n).reshape(n, n)  # np.rot90(grid, k)[iy, ix] is pixel R^k (iy, ix)
     orbits = np.array([np.rot90(grid, k)[: n // 2, : (n + 1) // 2].ravel() for k in range(4)])
     centre = np.arange(n * n // 2, n * n // 2 + n % 2)  # the centre pixel of an odd grid, in class 0
-    free, fm, column, scale = _pixel_functions(basis, geometry, np.concatenate([orbits[0], centre]))
+    free, fm, column, scale = _pixel_functions(basis, ScanGeometry(n, extent), np.concatenate([orbits[0], centre]))
     reps, alone = free[: orbits.shape[1]], free[orbits.shape[1] :]
     nd = free.shape[1] - 2 * len(fm)  # the diagonal functions, then whole (Re, Im) pairs
-    ells, (iu, ju) = np.array(basis.ells), _triu(d)
     quarter = np.array([1, 1j, -1, -1j])[np.outer(range(4), fm) % 4]  # i^(k m)
-    gouy = np.abs(ells)[iu] - np.abs(ells)[ju]  # the pair a < b turns by gouy * arctan(zeta) at zeta
-    angles = np.array([[math.atan(zeta)] for zeta in geometry.planes])
     cls = np.array([0, 2, 1, 2])[np.concatenate([np.zeros(nd, int), np.repeat(fm, 2)]) % 4]  # m = 0, 2, odd
     classes = [(np.flatnonzero(cls[column] == c), np.flatnonzero(cls == c), w, px)
                for c, w, px in zip(range(3), np.split(_ORBIT_ROWS, [1, 2]), (centre, [], [])) if c in cls]
     widths = [min(len(w) * orbits.shape[1] + len(pixel), len(fcols)) for _, fcols, w, pixel in classes]
-    q, u = np.zeros((n * n, sum(widths))), np.zeros((geometry.n_planes, sum(widths), d * d))
-    s, vt = np.zeros(d * d), np.zeros((d * d, d * d))  # s[i] goes with vt[i]: 0 past a class stack's values
-    col, row = 0, 0  # the class's first column of q and row of vt
-    for (cols, fcols, w, pixel), k in zip(classes, widths):
+    q, blocks = np.zeros((n * n, sum(widths))), []
+    for (cols, fcols, w, pixel), k, col in zip(classes, widths, np.cumsum([0, *widths])):
         block = np.empty((len(w),) + reps.shape)  # sum_k w_k (functions at R^k x) for each representative x
         block[..., :nd] = w.sum(axis=1)[:, None, None] * reps[:, :nd]
         np.multiply((w @ quarter)[:, None], reps[:, nd:].view(complex), out=block[..., nd:].view(complex))
@@ -327,16 +317,32 @@ def _factorize(basis: ModeBasis, geometry: ScanGeometry) -> MapFactors:
         on_orbits = qc[: len(qc) - len(pixel)].reshape(len(w), orbits.shape[1], k)
         q[orbits, col : col + k] = np.tensordot(w.T, on_orbits, 1)
         q[pixel, col : col + k] = qc[len(qc) - len(pixel) :]
-        tc = np.multiply(rc[:, np.searchsorted(fcols, column[cols])], scale[cols], order="C")  # B_c = Q_c T_c
+        blocks.append((cols, np.multiply(rc[:, np.searchsorted(fcols, column[cols])], scale[cols], order="C"), col))
+    return q, blocks
+
+
+@functools.lru_cache(maxsize=4)  # 4: a sweep's maps, one per Z (three by default), or a reconstruct's two
+def _factorize(basis: ModeBasis, geometry: ScanGeometry) -> MapFactors:
+    """Read-only factors of the map of ``basis`` over ``geometry``, one frequency class at a time.
+
+    They depend on nothing else, so equal maps share them, and maps on one grid share q and the
+    T_c of :func:`_waist_factors`. The SVD of the stack [T_c R(zeta_j)]_j gives the class's share
+    of u, s and vt, merged by descending s and cut at SVD_RCOND * s[0] (:class:`MapFactors`).
+    """
+    d, (q, blocks), row = basis.dim, _waist_factors(basis, geometry.n_pixels_per_side, geometry.extent), 0
+    gouy = np.subtract(*np.abs(basis.ells)[np.array(_triu(d))])  # |l_a| - |l_b| of each pair a < b
+    angles = np.array([[math.atan(zeta)] for zeta in geometry.planes])  # the pair turns by gouy * angle
+    u, s, vt = np.zeros((geometry.n_planes, q.shape[1], d * d)), np.zeros(d * d), np.zeros((d * d, d * d))
+    for cols, tc, col in blocks:  # col, row: the class's first column of q and row of vt
         diag = np.count_nonzero(cols < d)  # cols: diagonal coordinates, then whole (Re, Im) pairs
         stack = np.repeat(tc[None], geometry.n_planes, axis=0)  # T_c R(zeta_j), plane by plane
         turned = stack[..., diag:].view(complex)
         turned *= np.exp(1j * gouy[(cols[diag::2] - d) // 2] * angles)[:, None]
         stack = stack.reshape(-1, len(cols))
         uc, sc, vt[row : row + len(cols), cols] = np.linalg.svd(stack, full_matrices=len(stack) < len(cols))
-        s[row : row + len(sc)] = sc
-        u[:, col : col + k, row : row + len(sc)] = uc.reshape(geometry.n_planes, k, len(sc))
-        col, row = col + k, row + len(cols)
+        s[row : row + len(sc)] = sc  # s[i] goes with vt[i]: 0 past a class stack's values
+        u[:, col : col + len(tc), row : row + len(sc)] = uc.reshape(geometry.n_planes, len(tc), len(sc))
+        row += len(cols)
     if not np.isfinite(s).all():  # the pixels see light, but the stack's SVD passes the largest double
         raise DarkScanError("measurement map overflows at this extent: its singular values pass the largest double")
     order = np.argsort(-s, kind="stable")

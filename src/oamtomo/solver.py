@@ -235,9 +235,10 @@ def reconstruct_positive(
     holds ||A x - p|| at the start and after each outer step. The metadata
     carry both certificate values, ``stop_reason`` ("certified",
     "max_iterations" or "stalled"), the number of steps, the final factor
-    width, the number of tail extrapolations kept, and ``unexplained_fraction``
-    2 f_res / ||p||^2, the share of the scan's power that no state fits
-    (None for a scan of zeros).
+    width, ``width_events``, and ``unexplained_fraction`` 2 f_res / ||p||^2,
+    the share of the scan's power that no state fits (None for a scan of
+    zeros). ``width_events`` counts the rank updates, drops, extrapolations,
+    trials kept and failed, and the trial steps among the steps.
     """
     d = mmap.basis.dim
     s, vt, b, f_res, x, _, e = mmap.least_squares(scan)
@@ -285,17 +286,61 @@ def reconstruct_positive(
             mu *= LM_RAISE
         return None
 
+    failed_widths: set[int] = set()  # widths whose trial ended above the objective it had to beat
+    owner = sv = lead = halved = None  # the factor whose spectrum is sv, lead; which of sv halved on the last step
+    size = math.inf  # the last accepted step's size
+
+    def narrow(L, f, gap, step, budget):
+        """The width policy after an accepted damped step from L: next L, its state, mu, events, trial steps."""
+        nonlocal owner, sv, lead, halved, size
+        k = L.shape[1]
+        if owner is not L:  # a new width, by a rank update, a drop or a kept trial: halvings count from here
+            (sv, lead), halved = _spectrum(L), np.zeros(k, dtype=bool)
+        D = step[0] - L
+        L, cur, mu, _ = step
+        prev, (sv, lead), owner = sv, _spectrum(L), L
+        now = (HALVING[0] * prev < sv) & (sv < HALVING[1] * prev)
+        twice, halved = halved & now, now
+        j = max(1, k - int(np.cumprod(twice[::-1]).sum()))  # the trailing columns from j on halved twice
+        if j < k:
+            cut_state = state(lead[:, :j])
+            if cut_state[2] <= cur[2]:
+                return lead[:, :j], cut_state, None, ("drops",), 0
+        events = ()
+        size, last = float(np.linalg.norm(D)), size
+        if not now.any() and HALVING[0] * last < size < HALVING[1] * last:
+            ext_state = state(L + D)
+            if ext_state[2] < cur[2]:
+                L, cur, events = L + D, ext_state, ("extrapolations",)
+                (sv, lead), owner = _spectrum(L), L
+        excess, kept = f - f_res, cur[2] - f_res
+        slow = excess > 0 and kept > SLOW_GAIN * excess
+        # the certificate's gap after this step and a trial's at this rate: it goes as the root of the excess
+        gap = gap * (kept / excess) ** ((TRIAL_STEPS + 1) / 2) if slow else 0.0
+        if not (gap > tol and k > 1 and k not in failed_widths):
+            return L, cur, mu, events, 0
+        trial, trial_mu, taken = lead[:, : k - 1], None, 0
+        trial_state = state(trial)
+        for taken in range(1, min(TRIAL_STEPS, budget) + 1):
+            out = damped_step(trial, trial_state, trial_mu)
+            if out is None:
+                break
+            trial, trial_state, trial_mu, _ = out
+            if trial_state[2] < cur[2]:
+                break
+        if trial_state[2] < cur[2]:
+            return trial, trial_state, trial_mu, events + ("trials_kept",), taken
+        failed_widths.add(k)
+        return L, cur, mu, events + ("trials_failed",), taken
+
     X0 = coords_to_hermitian(x, d) if initial is None else initial.entries
     w, V = np.linalg.eigh(X0)
     k = max(1, int(np.sum(w > RANK_TOL * w[-1])))
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
     cur = state(L)
-    history = []
-    mu = None
-    failed_widths: set[int] = set()
-    sv = np.empty(0)
-    steps = extrapolations = 0
-    size = math.inf
+    history, mu, steps = [], None, 0
+    names = ("rank_updates", "drops", "extrapolations", "trials_kept", "trials_failed", "trial_steps")
+    events = dict.fromkeys(names, 0)  # each width event's count, and the steps the trials took
     while True:
         X, r, f = cur
         history.append(math.ldexp(math.sqrt(max(2.0 * f, 0.0)), e))
@@ -305,58 +350,23 @@ def reconstruct_positive(
         if converged or steps >= cfg.max_iterations:
             break
         steps += 1
-        k = L.shape[1]
-        if len(sv) != k:  # the width changed: halvings count from here
-            (sv, lead), halved = _spectrum(L), np.zeros(k, dtype=bool)
         step = damped_step(L, cur, mu)
         rank_gain = 0.0
-        if eig < -tol and k < d:
+        if eig < -tol and L.shape[1] < d:
             rd = Wr @ np.outer(v, v.conj()).view(float).ravel()
             t = -eig * scale / float(rd @ rd)  # the exact line search: the slope v^dag S v is lambda_min(S)
             rank_gain = -0.5 * t * eig * scale
         if rank_gain > (step[3] if step else 0.0):
             L = np.column_stack([L, math.sqrt(t) * v])
-            cur, mu = state(L), None
+            cur, mu, happened, taken = state(L), None, ("rank_updates",), 0
         elif step is None:
             break
         else:
-            D = step[0] - L
-            L, cur, mu, _ = step
-            prev, (sv, lead) = sv, _spectrum(L)
-            now = (HALVING[0] * prev < sv) & (sv < HALVING[1] * prev)
-            twice, halved = halved & now, now
-            j = max(1, k - int(np.cumprod(twice[::-1]).sum()))  # the trailing columns from j on halved twice
-            if j < k:
-                cut = lead[:, :j]
-                cut_state = state(cut)
-                if cut_state[2] <= cur[2]:
-                    L, cur, mu = cut, cut_state, None
-                    continue
-            size, last = float(np.linalg.norm(D)), size
-            if not now.any() and HALVING[0] * last < size < HALVING[1] * last:
-                ext_state = state(L + D)
-                if ext_state[2] < cur[2]:
-                    L, cur, extrapolations = L + D, ext_state, extrapolations + 1
-                    sv, lead = _spectrum(L)
-            excess, kept = f - f_res, cur[2] - f_res
-            slow = excess > 0 and kept > SLOW_GAIN * excess
-            # the certificate's gap after this step and a trial's at this rate: it goes as the root of the excess
-            gap = max(comp, -eig) * (kept / excess) ** ((TRIAL_STEPS + 1) / 2) if slow else 0.0
-            if gap > tol and k > 1 and k not in failed_widths:
-                trial = lead[:, : k - 1]
-                trial_state, trial_mu = state(trial), None
-                for _ in range(min(TRIAL_STEPS, cfg.max_iterations - steps)):
-                    steps += 1
-                    out = damped_step(trial, trial_state, trial_mu)
-                    if out is None:
-                        break
-                    trial, trial_state, trial_mu, _ = out
-                    if trial_state[2] < cur[2]:
-                        break
-                if trial_state[2] < cur[2]:
-                    L, cur, mu = trial, trial_state, trial_mu
-                else:
-                    failed_widths.add(k)
+            L, cur, mu, happened, taken = narrow(L, f, max(comp, -eig), step, cfg.max_iterations - steps)
+        steps += taken
+        events["trial_steps"] += taken
+        for name in happened:
+            events[name] += 1
 
     if converged:
         reason = "certified"
@@ -372,7 +382,7 @@ def reconstruct_positive(
         kkt_complementarity=comp,
         refine_steps=steps,
         refine_rank=L.shape[1],
-        tail_extrapolations=extrapolations,
+        width_events=events,
         unexplained_fraction=2.0 * f_res / power if power > 0 else None,
     )
     return ReconstructionReport(
@@ -463,12 +473,12 @@ def uniqueness_entropy(
 
 
 def report_to_json_dict(rep: ReconstructionReport) -> dict:
-    """The report's JSON record; its metadata is a copy, so a caller may add to it."""
+    """The report's JSON record; its metadata is a copy, its width_events too, so a caller may add to it."""
     return {
         "estimate": state_to_json_dict(rep.estimate),
         "objective_history": list(rep.objective_history),
         "iterations_used": rep.iterations_used,
         "converged": rep.converged,
         "uniqueness_entropy": None,
-        "metadata": dict(rep.metadata),
+        "metadata": {k: dict(v) if isinstance(v, dict) else v for k, v in rep.metadata.items()},
     }

@@ -5,7 +5,9 @@ coordinates (r, phi, z) with the beam waist at z = 0, and the pixel
 probability of a state summed mode pair by mode pair. The library's
 vectorized measurement map is compared against these point by point; no
 library code calls them. The state-file writer lives here too: the library
-reads state files but never writes one.
+reads state files but never writes one. So does an independent optimum for
+the positive solver: a log-barrier interior-point method on the whole
+matrix X, which needs no factor, start or width.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from oamtomo.qstate import DensityMatrix, state_to_json_dict
+from oamtomo.qstate import DensityMatrix, coords_to_hermitian, hermitian_to_coords, state_to_json_dict
 from oamtomo.sensor import _norm
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "lg_amplitude",
     "mode_normalization",
     "pixel_probability",
+    "psd_least_squares",
     "write_state_json",
 ]
 
@@ -172,3 +175,57 @@ def pixel_probability(rho: DensityMatrix, rr: float, phi: float, zeta: float) ->
 def write_state_json(path, rho: DensityMatrix) -> None:
     with open(path, "w") as fh:
         json.dump(state_to_json_dict(rho), fh)
+
+
+def _coords(h: np.ndarray) -> np.ndarray:
+    """Coordinates of the Hermitian part of a stack of matrices: a product of
+    Hermitian matrices is Hermitian only to rounding."""
+    return hermitian_to_coords(0.5 * (h + np.swapaxes(h, -1, -2).conj()))
+
+
+def psd_least_squares(A: np.ndarray, p: np.ndarray, rel_gap: float = 1e-12) -> tuple[np.ndarray, float]:
+    """The minimizer X of f(X) = 0.5 ||A coords(X) - p||^2 over Hermitian X >= 0, and its gap.
+
+    A log-barrier method (Boyd & Vandenberghe, Convex Optimization, sec. 11.3):
+    damped Newton steps centre X on the minimizer of f(X) - mu log det X, and
+    mu falls tenfold at each centre. A Newton step is the least-squares
+    solution of [A; sqrt(mu) K] delta = [-r; sqrt(mu) coords(I)], r = A x - p,
+    with K the congruence coords(H) -> coords(X^-1/2 H X^-1/2), so A^T A is
+    never formed. Each step keeps X positive definite, and its length is
+    backtracked on the exact change of the barrier objective. The gap is a
+    certificate: with S = A^T r as a Hermitian matrix, S >= 0 and X >= 0 give
+    f(X) - min f <= <S, X>. It returns once that is at most rel_gap * f(0).
+    """
+    n = A.shape[1]
+    d = math.isqrt(n)
+    units = coords_to_hermitian(np.eye(n), d)  # the coordinate directions as Hermitian matrices
+    eye = hermitian_to_coords(np.eye(d))
+    scale = 0.5 * float(p @ p)  # f(0)
+    a = A @ eye
+    level = float(a @ p) / float(a @ a)  # the best multiple of I
+    X = np.eye(d, dtype=complex) * (level if level > 0 else 1.0)
+    mu = scale / d  # the centre's gap is d mu
+    for _ in range(1000):
+        r = A @ _coords(X) - p
+        w, V = np.linalg.eigh(X)
+        root = (V / np.sqrt(w)) @ V.conj().T  # X^-1/2
+        K = _coords(root @ units @ root).T
+        system, rhs = np.vstack([A, math.sqrt(mu) * K]), np.concatenate([-r, math.sqrt(mu) * eye])
+        delta = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        Ad, Kd = A @ delta, K @ delta
+        decrement = mu * float(eye @ Kd) - float(r @ Ad)  # minus the barrier objective's slope along delta
+        if decrement <= 1e-6 * mu:  # centred
+            S = coords_to_hermitian(A.T @ r, d)
+            gap = float(np.vdot(S, X).real)
+            if np.linalg.eigvalsh(S)[0] >= 0 and gap <= rel_gap * scale:
+                return X, gap
+            mu /= 10.0
+            continue
+        lam = np.linalg.eigvalsh(coords_to_hermitian(Kd, d))  # of M, where X + t Delta = X^1/2 (I + t M) X^1/2
+        t = 1.0 if lam[0] >= 0 else min(1.0, -0.99 / lam[0])
+        # the change of 0.5 ||r||^2 - mu log det X at step t, without cancellation
+        change = lambda t: t * (float(r @ Ad) + 0.5 * t * float(Ad @ Ad)) - mu * float(np.sum(np.log1p(t * lam)))
+        while change(t) > -0.25 * t * decrement:
+            t *= 0.5
+        X = X + t * coords_to_hermitian(delta, d)
+    raise RuntimeError("the barrier method did not certify a gap in 1000 Newton steps")

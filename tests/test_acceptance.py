@@ -46,6 +46,7 @@ from oracles import (
     coefficient,
     lg_amplitude,
     pixel_probability,
+    psd_least_squares,
 )
 
 RECOVERY_TOL = 1e-6  # criterion 4's exact-recovery tolerance
@@ -300,5 +301,24 @@ def test_criterion_8_small_instance_oracle():
         prob = cvxpy.Problem(cvxpy.Minimize(cvxpy.sum_squares(pred - values)), [X >> 0])
         prob.solve(solver=cvxpy.SCS, eps=1e-10)
         oracle = math.sqrt(max(prob.value, 0.0))
+        mine = rep.objective_history[-1]
+        assert mine == pytest.approx(oracle, abs=1e-6), f"d={d} seed={seed}"
+
+
+def test_criterion_8_small_instance_numpy_oracle():
+    """Criterion 8's instances against the interior-point optimum of tests/oracles.py,
+    which needs no cvxpy: it works on the whole matrix, with no factor, start or width."""
+    rng = np.random.default_rng(7)
+    for d, seed in ((2, 0), (3, 1), (3, 2)):
+        basis = ModeBasis.nonnegative_span(d)
+        mmap = build_measurement_map(basis, ScanGeometry(9, 3.0, (1.0,)))
+        rho = random_state(basis, d - 1, seed=seed)
+        values = np.clip(
+            mmap.apply(rho) + 1e-3 * rng.normal(size=mmap.matrix.shape[0]), 0.0, None
+        )
+        scan = IntensityScan(mmap.geometry, values)
+        rep = reconstruct_positive(mmap, scan, SolverConfig(rel_tolerance=1e-13))
+        X, _ = psd_least_squares(mmap.matrix, values)
+        oracle = float(np.linalg.norm(mmap.matrix @ hermitian_to_coords(X) - values))
         mine = rep.objective_history[-1]
         assert mine == pytest.approx(oracle, abs=1e-6), f"d={d} seed={seed}"

@@ -24,6 +24,7 @@ from oamtomo.sensor import (
     simulate_scan,
     write_scan_csv,
     _factorize,
+    _waist_factors,
 )
 from oamtomo.solver import reconstruct_positive
 from oracles import (
@@ -453,6 +454,7 @@ def test_map_factors_are_orthonormal_and_split_by_class(basis, geom):
     for row in vt:
         assert len(set(cls[row != 0])) == 1
     _factorize.cache_clear()  # else the map built again reads the same cached arrays
+    _waist_factors.cache_clear()
     again = build_measurement_map(basis, geom).svd
     assert again is not first
     assert all(np.array_equal(x, y) for x, y in zip(first, again))
@@ -475,6 +477,7 @@ def test_camera_map_simulation_and_solve_never_form_a():
     geom = ScanGeometry(101, 3.0, default_planes(4))
     rho = random_state(basis, 2, seed=3)
     _factorize.cache_clear()  # the factorization is measured too, whichever test built this map before
+    _waist_factors.cache_clear()
     tracemalloc.start()
     try:
         mmap = build_measurement_map(basis, geom)

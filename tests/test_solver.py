@@ -39,6 +39,7 @@ from oamtomo.solver import (
     singular_value_entropy,
     uniqueness_entropy,
 )
+from oracles import psd_least_squares
 
 
 def ic_setup(d=4, seed=0, rank=1):
@@ -167,7 +168,7 @@ def test_positive_drops_halving_columns():
     assert rep.metadata["stop_reason"] == "certified"
     assert rep.iterations_used <= 8
     assert rep.metadata["refine_rank"] == 1
-    assert rep.metadata["tail_extrapolations"] == 0
+    assert rep.metadata["width_events"]["extrapolations"] == 0
     assert hs_error(rep.estimate, rho) < 1e-20
     assert np.all(np.diff(rep.objective_history) <= 0.0)
 
@@ -193,9 +194,74 @@ def test_positive_extrapolates_the_quartering_tail():
     start = random_state(mmap.basis, mmap.basis.dim, np.random.default_rng(cfg.seed))
     rep = reconstruct_positive(mmap, scan, cfg, start)
     assert rep.metadata["stop_reason"] == "certified"
-    assert rep.metadata["tail_extrapolations"] >= 1
+    assert rep.metadata["width_events"]["extrapolations"] >= 1
     assert rep.iterations_used <= 14
     assert np.all(np.diff(rep.objective_history) <= 0.0)
+
+
+def criterion_5_solve(z, rank, trial):
+    """The positive solve of criterion 5's trial (ell_max 7, 19x19, seed 0) in cell (Z, rank)."""
+    basis = ModeBasis.symmetric_span(7)
+    mmap = build_measurement_map(basis, ScanGeometry(19, 3.0, default_planes(z)))
+    rho = random_state(basis, rank, seed=derive_seed(0, 7, z, rank, trial))
+    return mmap, simulate_scan(rho, mmap)
+
+
+@pytest.mark.parametrize(
+    "z, rank, trial, steps, counts",
+    [
+        # the slowest solve: three kept trials narrow it below its final width, and two rank updates return
+        (3, 8, 46, 431, (2, 0, 0, 3, 3, 22)),
+        # a crawl that six kept trials end
+        (2, 4, 12, 23, (0, 0, 1, 6, 0, 10)),
+    ],
+    ids=["#46", "#12"],
+)
+def test_width_events_are_counted(z, rank, trial, steps, counts):
+    """The report counts each width event of a solve, and the trial steps among its steps."""
+    rep = reconstruct_positive(*criterion_5_solve(z, rank, trial))
+    assert rep.metadata["stop_reason"] == "certified"
+    assert rep.iterations_used == steps
+    names = ("rank_updates", "drops", "extrapolations", "trials_kept", "trials_failed", "trial_steps")
+    assert rep.metadata["width_events"] == dict(zip(names, counts))
+    if trial == 46:
+        assert rep.metadata["refine_rank"] == 8
+
+
+def test_trial_steps_are_among_the_steps():
+    """Over criterion-6 probe state 0's restarts at Z = 1 and 2, each solve's
+    trial steps are a part of its steps, and every count is a whole number."""
+    spec = parse_spec({"kind": "entropy_sweep", "basis": {"ell_max": 4}, "state": {"kind": "test"}, "seed": 0})
+    for z in (1, 2):
+        mmap, [(scan, cfg), *_] = entropy_cell_inputs(spec, z)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.multistart):
+            rep = reconstruct_positive(mmap, scan, cfg, random_state(mmap.basis, mmap.basis.dim, rng))
+            events = rep.metadata["width_events"]
+            assert all(isinstance(n, int) and n >= 0 for n in events.values())
+            assert events["trial_steps"] <= rep.iterations_used
+
+
+def test_width_trial_stalls_when_its_damped_solves_fail(monkeypatch):
+    """Criterion-5 trial (Z=2, rank 4, #12) with every dense solve from the 9th
+    on singular: the ninth step's width trial finds no damped step, so it fails,
+    and the next step finds none either; the solve stops, uncertified, at a valid state."""
+    mmap, scan = criterion_5_solve(2, 4, 12)
+    solve, calls = np.linalg.solve, [0]
+
+    def failing_solve(*args):
+        calls[0] += 1
+        if calls[0] >= 9:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    rep = reconstruct_positive(mmap, scan)
+    assert rep.metadata["stop_reason"] == "stalled"
+    assert not rep.converged
+    assert rep.iterations_used == 10
+    assert rep.metadata["width_events"]["trials_failed"] == 1
+    DensityMatrix(mmap.basis, rep.estimate.entries)  # Hermitian, PSD and of unit trace, or it raises
 
 
 def test_one_dense_solve_per_damped_step(monkeypatch):
@@ -501,6 +567,20 @@ def test_positive_matches_sdp_oracle():
     assert rep.objective_history[-1] == pytest.approx(oracle, abs=1e-6)
 
 
+def test_positive_matches_numpy_oracle():
+    """test_positive_matches_sdp_oracle's instance against the interior-point
+    optimum of tests/oracles.py, which needs no cvxpy. Its gap certifies it:
+    no PSD estimate fits the scan better than by that gap."""
+    basis, mmap, rho, _ = ic_setup(d=3, seed=17, rank=2)
+    rng = np.random.default_rng(0)
+    values = np.clip(mmap.apply(rho) + 1e-3 * rng.normal(size=mmap.matrix.shape[0]), 0, None)
+    rep = reconstruct_positive(mmap, IntensityScan(mmap.geometry, values))
+    X, gap = psd_least_squares(mmap.matrix, values)
+    assert gap <= 1e-12 * 0.5 * float(values @ values)
+    oracle = float(np.linalg.norm(mmap.matrix @ hermitian_to_coords(X) - values))
+    assert rep.objective_history[-1] == pytest.approx(oracle, abs=1e-6)
+
+
 # -------------------------------------------------- pseudoinverse estimator
 
 
@@ -684,6 +764,15 @@ def test_report_json_dict_copies_the_metadata():
     before = dict(rep.metadata)
     report_to_json_dict(rep)["metadata"]["independent_detections"] = 9
     assert rep.metadata == before
+
+
+def test_report_json_dict_copies_the_width_events():
+    """The record's width_events is the caller's too: a count changed there stays out of the report."""
+    _, mmap, _, scan = ic_setup(d=3, seed=25, rank=1)
+    rep = reconstruct_positive(mmap, scan)
+    before = dict(rep.metadata["width_events"])
+    report_to_json_dict(rep)["metadata"]["width_events"]["drops"] += 1
+    assert rep.metadata["width_events"] == before
 
 
 def test_report_json_dict_shape():
