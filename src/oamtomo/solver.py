@@ -115,19 +115,19 @@ def _jacobian(M: np.ndarray, L: np.ndarray) -> np.ndarray:
     return 2.0 * np.concatenate([G.real, G.imag], axis=1)
 
 
-def _certificate(S: np.ndarray, X: np.ndarray, scale: float) -> tuple[float, float, np.ndarray]:
+def _certificate(S: np.ndarray, X: np.ndarray, scale: float) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Relative first-order optimality residuals of a PSD iterate X.
 
     S is the gradient of the objective as a Hermitian matrix. X minimizes
     over the PSD cone iff lambda_min(S) >= 0 and <S, X> = 0. Returns
-    (lambda_min, |<S, X>| / Tr X), both divided by ``scale``, and the
-    eigenvector of lambda_min.
+    (lambda_min, |<S, X>| / Tr X), both divided by ``scale``, and S's
+    eigenvalues, ascending, and eigenvectors.
     """
     tr = float(np.trace(X).real)
     inner = float(np.vdot(X, S).real)
     w, v = np.linalg.eigh(S)
     comp = abs(inner) / tr if tr > 0 else 0.0
-    return float(w[0]) / scale, comp / scale, v[:, 0]
+    return float(w[0]) / scale, comp / scale, w, v
 
 
 def _spectrum(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,17 +192,22 @@ def reconstruct_positive(
     (J^T J + mu) delta = -J^T r for the update D of L (:func:`_jacobian`)
     through the smaller Gram matrix: one dense solve per step, and one more
     per retry with mu raised by LM_RAISE when the system is singular or the
-    step decreases nothing. Along D the residual is exactly quadratic,
-    r(L + tD) = r + t J delta + t^2 W coords(D D^dag), so the objective is a
-    quartic in t, and the step moves L by the t in (0, 1] that minimizes it
+    step decreases nothing. On a scan with noise outside the model's range,
+    f_res > 1e-12 * 0.5 ||b||^2, the residual's curvature is not small, and
+    the tall J^T J gains Newton's term K, 0.5 delta^T K delta =
+    Tr(S+ D D^dag), with S+ the PSD part of the outer iterate's gradient
+    matrix S; a width trial's steps keep that S+ (Nocedal & Wright 2006,
+    sec. 10.3). Along D the residual is exactly quadratic, r(L + tD) = r + t
+    J delta + t^2 W coords(D D^dag), so the objective is a quartic in t, and
+    the step moves L by the t in (0, 1] that minimizes it
     (:func:`_step_length`; Nocedal & Wright 2006, sec. 3.5). It is accepted
-    on the exact change of 0.5 ||r||^2, -dr.(r + dr/2) with
-    dr = t J delta + t^2 W coords(D D^dag), so noisy data certify at the
-    default tolerance: there a difference of objective values cancels below
-    the certificate's resolution. mu follows the full step, t = 1, as if
-    the step were taken whole: it is raised by LM_RAISE when the full step
-    would not decrease the objective, and otherwise set by the ratio of its
-    exact decrease to the decrease the linear model predicts.
+    on the exact change of 0.5 ||r||^2, -dr.(r + dr/2) with dr = t J delta +
+    t^2 W coords(D D^dag), so noisy data certify at the default tolerance:
+    there a difference of objective values cancels below the certificate's
+    resolution. mu follows the full step, t = 1, as if the step were taken
+    whole: it is raised by LM_RAISE when the full step would not decrease
+    the objective, and otherwise set by the ratio of its exact decrease to
+    the decrease Gauss-Newton's linear model predicts, which leaves K out.
 
     The width of L adapts. When lambda_min(S) < 0, a new column along that
     eigenvector (the Burer-Monteiro rank update, with an exact line search)
@@ -257,8 +262,11 @@ def reconstruct_positive(
         """One accepted damped step from L and its decrease of f, or None."""
         r = cur[1]
         J = _jacobian(M, L)
-        wide = J.shape[0] <= J.shape[1]  # solve through the smaller Gram matrix
+        wide = curv is None and J.shape[0] <= J.shape[1]  # solve through the smaller Gram matrix
         gram, rhs = (J @ J.T, r) if wide else (J.T @ J, -(J.T @ r))
+        if curv is not None:  # + K = kron(curv, I_k): curv on each column's diagonal block
+            ks = np.arange(L.shape[1])
+            gram.reshape(2 * d, len(ks), 2 * d, len(ks))[:, ks, :, ks] += curv
         diag = gram.diagonal().copy()
         if mu is None:
             mu = LM_DAMPING * float(diag.sum())
@@ -339,16 +347,22 @@ def reconstruct_positive(
     L = V[:, d - k :] * np.sqrt(np.clip(w[d - k :], 0.0, None))
     cur = state(L)
     history, mu, steps = [], None, 0
+    noisy = f_res > 1e-12 * 0.5 * float(b @ b)  # noise outside the model's range: the residual's curvature counts
+    curv = None  # damped_step's residual term, from the outer iterate's S
     names = ("rank_updates", "drops", "extrapolations", "trials_kept", "trials_failed", "trial_steps")
     events = dict.fromkeys(names, 0)  # each width event's count, and the steps the trials took
     while True:
         X, r, f = cur
         history.append(math.ldexp(math.sqrt(max(2.0 * f, 0.0)), e))
         S = (r @ Wr).view(complex).reshape(d, d)
-        eig, comp, v = _certificate(S, X, scale)
+        eig, comp, w, V = _certificate(S, X, scale)
+        v = V[:, 0]
         converged = eig >= -tol and comp <= tol
         if converged or steps >= cfg.max_iterations:
             break
+        if noisy:  # 2 [[Re S+, -Im S+], [Im S+, Re S+]] of S's PSD part, for this step and a trial's
+            Sp = (V * np.maximum(w, 0.0)) @ V.conj().T
+            curv = 2.0 * np.block([[Sp.real, -Sp.imag], [Sp.imag, Sp.real]])
         steps += 1
         step = damped_step(L, cur, mu)
         rank_gain = 0.0

@@ -191,10 +191,12 @@ def psd_least_squares(A: np.ndarray, p: np.ndarray, rel_gap: float = 1e-12) -> t
     mu falls tenfold at each centre. A Newton step is the least-squares
     solution of [A; sqrt(mu) K] delta = [-r; sqrt(mu) coords(I)], r = A x - p,
     with K the congruence coords(H) -> coords(X^-1/2 H X^-1/2), so A^T A is
-    never formed. Each step keeps X positive definite, and its length is
-    backtracked on the exact change of the barrier objective. The gap is a
-    certificate: with S = A^T r as a Hermitian matrix, S >= 0 and X >= 0 give
-    f(X) - min f <= <S, X>. It returns once that is at most rel_gap * f(0).
+    never formed. With the thin QR A = Q R, R stands for A and Q^T r for r:
+    the same solution, from min(m, n) rows instead of m. Each step keeps X
+    positive definite, and its length is backtracked on the exact change of
+    the barrier objective. The gap is a certificate: with S = A^T r as a
+    Hermitian matrix, S >= 0 and X >= 0 give f(X) - min f <= <S, X>. It
+    returns once that is at most rel_gap * f(0).
     """
     n = A.shape[1]
     d = math.isqrt(n)
@@ -202,6 +204,7 @@ def psd_least_squares(A: np.ndarray, p: np.ndarray, rel_gap: float = 1e-12) -> t
     eye = hermitian_to_coords(np.eye(d))
     scale = 0.5 * float(p @ p)  # f(0)
     a = A @ eye
+    Q, R = np.linalg.qr(A)  # ||A delta + r||^2 = ||R delta + Q^T r||^2 + a constant
     level = float(a @ p) / float(a @ a)  # the best multiple of I
     X = np.eye(d, dtype=complex) * (level if level > 0 else 1.0)
     mu = scale / d  # the centre's gap is d mu
@@ -210,7 +213,7 @@ def psd_least_squares(A: np.ndarray, p: np.ndarray, rel_gap: float = 1e-12) -> t
         w, V = np.linalg.eigh(X)
         root = (V / np.sqrt(w)) @ V.conj().T  # X^-1/2
         K = _coords(root @ units @ root).T
-        system, rhs = np.vstack([A, math.sqrt(mu) * K]), np.concatenate([-r, math.sqrt(mu) * eye])
+        system, rhs = np.vstack([R, math.sqrt(mu) * K]), np.concatenate([-(Q.T @ r), math.sqrt(mu) * eye])
         delta = np.linalg.lstsq(system, rhs, rcond=None)[0]
         Ad, Kd = A @ delta, K @ delta
         decrement = mu * float(eye @ Kd) - float(r @ Ad)  # minus the barrier objective's slope along delta

@@ -309,6 +309,7 @@ def test_criterion_8_small_instance_numpy_oracle():
     """Criterion 8's instances against the interior-point optimum of tests/oracles.py,
     which needs no cvxpy: it works on the whole matrix, with no factor, start or width."""
     rng = np.random.default_rng(7)
+    unfinished = []
     for d, seed in ((2, 0), (3, 1), (3, 2)):
         basis = ModeBasis.nonnegative_span(d)
         mmap = build_measurement_map(basis, ScanGeometry(9, 3.0, (1.0,)))
@@ -318,7 +319,14 @@ def test_criterion_8_small_instance_numpy_oracle():
         )
         scan = IntensityScan(mmap.geometry, values)
         rep = reconstruct_positive(mmap, scan, SolverConfig(rel_tolerance=1e-13))
-        X, _ = psd_least_squares(mmap.matrix, values)
+        X, gap = psd_least_squares(mmap.matrix, values)
         oracle = float(np.linalg.norm(mmap.matrix @ hermitian_to_coords(X) - values))
         mine = rep.objective_history[-1]
         assert mine == pytest.approx(oracle, abs=1e-6), f"d={d} seed={seed}"
+        # the excess objective over the oracle's, which is itself within gap of the optimum
+        assert 0.5 * mine**2 - 0.5 * oracle**2 <= gap, f"d={d} seed={seed}"
+        # a solve stopped after one step passes the 1e-6 bound; the excess tells it apart
+        one = reconstruct_positive(mmap, scan, SolverConfig(max_iterations=1, rel_tolerance=1e-13))
+        assert one.objective_history[-1] == pytest.approx(oracle, abs=1e-6)
+        unfinished.append(0.5 * one.objective_history[-1] ** 2 - 0.5 * oracle**2 > gap)
+    assert any(unfinished)
