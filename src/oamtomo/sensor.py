@@ -402,20 +402,17 @@ def simulate_scan(
     raise ValueError(f"unknown noise model {noise!r}")
 
 
-@functools.lru_cache(maxsize=2)  # 2: a reconstruct's scan grid and its predict planes
-def _scan_template(n: int, planes: tuple[str, ...]) -> str:
-    """A scan file's text, header and rows, with %s for each value; the planes are reprs, keeping -0.0 apart."""
-    pixels = [f"{px},{py},%s\n" for py in range(n) for px in range(n)]
-    return "".join([SCAN_HEADER + "\n", *(f"{j},{zeta}," + pixel for j, zeta in enumerate(planes) for pixel in pixels)])
-
-
 def write_scan_csv(path, scan: IntensityScan) -> None:
     geom = scan.geometry
+    n = geom.n_pixels_per_side
+    pixels = [f"{px},{py}," for py in range(n) for px in range(n)]
+    planes = [f"{j},{zeta!r}," for j, zeta in enumerate(geom.planes)]
+    rows = [plane + pixel for plane in planes for pixel in pixels]
     # distinct bit patterns, so -0.0 stays apart from 0.0; photon counts repeat, so each is formatted once
     distinct, inverse = np.unique(scan.values.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
     with open(path, "w") as fh:
-        fh.write(_scan_template(geom.n_pixels_per_side, tuple(map(repr, geom.planes))) % tuple(text[inverse].tolist()))
+        fh.write("\n".join([SCAN_HEADER, *map(str.__add__, rows, text[inverse].tolist())]) + "\n")
 
 
 _SCAN_ROW = np.dtype([("j", "i8"), ("zeta", "f8"), ("px", "i8"), ("py", "i8"), ("value", "f8")])

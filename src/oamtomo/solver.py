@@ -197,9 +197,11 @@ def reconstruct_positive(
     the tall J^T J gains Newton's term K, 0.5 delta^T K delta =
     Tr(S+ D D^dag), with S+ the PSD part of the outer iterate's gradient
     matrix S; a width trial's steps keep that S+ (Nocedal & Wright 2006,
-    sec. 10.3). Along D the residual is exactly quadratic, r(L + tD) = r + t
-    J delta + t^2 W coords(D D^dag), so the objective is a quartic in t, and
-    the step moves L by the t in (0, 1] that minimizes it
+    sec. 10.3). The tall system is then solved even where J J^T is smaller:
+    its steps cost more there, but fewer of them are needed. Along D the
+    residual is exactly quadratic, r(L + tD) = r + t J delta + t^2 W
+    coords(D D^dag), so the objective is a quartic in t, and the step moves
+    L by the t in (0, 1] that minimizes it
     (:func:`_step_length`; Nocedal & Wright 2006, sec. 3.5). It is accepted
     on the exact change of 0.5 ||r||^2, -dr.(r + dr/2) with dr = t J delta +
     t^2 W coords(D D^dag), so noisy data certify at the default tolerance:
@@ -262,7 +264,7 @@ def reconstruct_positive(
         """One accepted damped step from L and its decrease of f, or None."""
         r = cur[1]
         J = _jacobian(M, L)
-        wide = curv is None and J.shape[0] <= J.shape[1]  # solve through the smaller Gram matrix
+        wide = curv is None and J.shape[0] <= J.shape[1]  # the smaller Gram matrix, unless K needs the tall one
         gram, rhs = (J @ J.T, r) if wide else (J.T @ J, -(J.T @ r))
         if curv is not None:  # + K = kron(curv, I_k): curv on each column's diagonal block
             ks = np.arange(L.shape[1])

@@ -24,7 +24,6 @@ from oamtomo.sensor import (
     simulate_scan,
     write_scan_csv,
     _factorize,
-    _scan_template,
     _waist_factors,
 )
 from oamtomo.solver import reconstruct_positive
@@ -669,18 +668,6 @@ def test_scan_csv_roundtrip(tmp_path):
     assert back.geometry.n_pixels_per_side == 19
 
 
-def _row_by_row_bytes(geom: ScanGeometry, values: np.ndarray) -> bytes:
-    """The scan file of ``values`` over ``geom``, formatted one row at a time."""
-    rows = [SCAN_HEADER]
-    idx = 0
-    for j, zeta in enumerate(geom.planes):
-        for py in range(geom.n_pixels_per_side):
-            for px in range(geom.n_pixels_per_side):
-                rows.append(f"{j},{float(zeta)!r},{px},{py},{float(values[idx])!r}")
-                idx += 1
-    return ("\n".join(rows) + "\n").encode()
-
-
 def test_scan_csv_bytes_match_row_by_row_writer(tmp_path):
     geom = ScanGeometry(6, 2.5, (0.0, 1 / 3, 2.0))
     distinct = np.random.default_rng(9).uniform(size=geom.n_pixels * 3) ** 5
@@ -691,27 +678,15 @@ def test_scan_csv_bytes_match_row_by_row_writer(tmp_path):
     for values in (distinct, counts):
         path = tmp_path / "scan.csv"
         write_scan_csv(path, IntensityScan(geom, values))
-        assert path.read_bytes() == _row_by_row_bytes(geom, values)
+        rows = [SCAN_HEADER]
+        idx = 0
+        for j, zeta in enumerate(geom.planes):
+            for py in range(geom.n_pixels_per_side):
+                for px in range(geom.n_pixels_per_side):
+                    rows.append(f"{j},{float(zeta)!r},{px},{py},{float(values[idx])!r}")
+                    idx += 1
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
         assert read_scan_csv(path, extent=2.5).values.tobytes() == values.tobytes()  # bit for bit, -0.0 included
-
-
-def test_scan_csv_template_cache_keeps_each_geometry_apart(tmp_path):
-    """The writer keeps the row text of its last two geometries: A and B share a side but not their
-    planes, C has another side, and D's plane -0.0 equals A's 0.0 but is written as -0.0."""
-    a = ScanGeometry(5, 3.0, (0.0, 1.0))
-    b = ScanGeometry(5, 3.0, (0.5,))
-    c = ScanGeometry(4, 3.0, (0.0, 1.0))
-    d = ScanGeometry(5, 3.0, (-0.0, 1.0))
-    assert d == a  # equal geometries, so the map factors are shared; the file text is not
-    _scan_template.cache_clear()
-    rng = np.random.default_rng(3)
-    for k, geom in enumerate((a, b, a, c, d)):
-        values = rng.poisson(2.0, size=geom.n_pixels * geom.n_planes) / 3.0
-        path = tmp_path / f"scan{k}.csv"
-        write_scan_csv(path, IntensityScan(geom, values))
-        assert path.read_bytes() == _row_by_row_bytes(geom, values), f"geometry {k}"
-    info = _scan_template.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 4, 2)  # A's second write reused its text
 
 
 def test_scan_csv_rejects_bad_header(tmp_path):
